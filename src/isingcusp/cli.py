@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from . import criticality, idealgas, verify
+from . import criticality, verify
 from .curve import sample_curve
 from .model import ConjugateCoords, DomainError, ModelParams, SizeError
 from .selfconsistent import solve, zero_field_branch
@@ -94,10 +92,14 @@ def cmd_zero_field(args) -> int:
     return 0
 
 
+def _report(r) -> str:
+    return f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}"
+
+
 def cmd_verify(args) -> int:
     p = _params(args)
     results = verify.run_all(p, seed=args.seed)
-    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+    lines = [_report(r) for r in results]
     n_pass = sum(r.passed for r in results)
     lines.append(f"{n_pass}/{len(results)} checks passed")
     emit("\n".join(lines) + "\n", args.output)
@@ -105,21 +107,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_idealgas(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(100):
-        g = idealgas.GasState(u=float(rng.uniform(0.1, 10.0)),
-                              v=float(rng.uniform(0.1, 10.0)),
-                              r=float(rng.uniform(0.5, 3.0)))
-        worst = max(worst, abs(idealgas.gas_hj_residual(g)))
-        t, pressure = idealgas.gas_recover_eos(g)
-        worst = max(worst, abs(g.u - 1.5 * g.r * t) / g.u,
-                    abs(pressure * g.v - g.r * t) / (g.r * t))
-    ok = worst < 1e-13
-    text = (f"{'PASS' if ok else 'FAIL'} ideal-gas: max residual {worst:.3e} "
-            "over 100 random states\n")
-    emit(text, args.output)
-    return 0 if ok else 1
+    r = verify.check_ideal_gas(args.seed)
+    emit(_report(r) + "\n", args.output)
+    return 0 if r.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,37 +24,39 @@ def _check_nonzero_m(m: float) -> None:
         raise DomainError(f"need 0 < |m| < 1, got m = {m}")
 
 
-def susceptibility(m: float, p: ModelParams) -> float:
-    """Closed-form susceptibility beta m^2 (1-m^2) / (m^2 + (1-m^2) log(1-m^2)).
+def _denominator(m: float, scaled: bool = False) -> float:
+    """D = y + (1 - y) log(1 - y) with y = m^2, or D / y^2 when scaled.
 
-    The denominator cancels to O(m^4), so below the seam it is summed as
-    the series m^4/2 + m^6/6 + m^8/12 + m^10/20 + m^12/30 (coefficient
-    1/(j(j-1)) on m^(2j)). Diverges at m = 0.
+    D cancels to O(y^2), so below the seam it is summed as the series
+    y^2 (1/2 + y/6 + y^2/12 + y^3/20 + y^4/30) (coefficient 1/(j(j-1)) on
+    m^(2j)); the scaled form never forms y^2 there, so it cannot underflow.
     """
-    _check_nonzero_m(m)
     y = m * m
     if abs(m) < M_SWITCH:
-        denom = y * y * (0.5 + y * (1.0 / 6.0 + y * (1.0 / 12.0 + y * (1.0 / 20.0 + y / 30.0))))
-    else:
-        denom = y + (1.0 - y) * math.log1p(-y)
-    return beta_of_m(m, p) * y * (1.0 - y) / denom
+        series = 0.5 + y * (1.0 / 6.0 + y * (1.0 / 12.0 + y * (1.0 / 20.0 + y / 30.0)))
+        return series if scaled else y * y * series
+    d = y + (1.0 - y) * math.log1p(-y)
+    return d / (y * y) if scaled else d
+
+
+def susceptibility(m: float, p: ModelParams) -> float:
+    """Closed-form susceptibility beta m^2 (1-m^2) / D; diverges at m = 0."""
+    _check_nonzero_m(m)
+    y = m * m
+    return beta_of_m(m, p) * y * (1.0 - y) / _denominator(m)
 
 
 def specific_heat(m: float, p: ModelParams) -> float:
     """Specific heat per site, (du/dm) / (dT/dm); tends to k as m -> 0.
 
-    du/dm = -Jz m is analytic, dT/dm comes from a central difference of
-    T(m) = 1/(k beta(m)). Even in m.
+    In closed form C = k L^2 (1 - y) / (2 D) with y = m^2,
+    L = -log(1 - y) and D as in the susceptibility. It is evaluated from
+    the ratios L/y = beta Jz and D/y^2, which stay finite for every
+    0 < |m| < 1. Even in m.
     """
     _check_nonzero_m(m)
-    am = abs(m)
-    h = 1e-6 * am
-    if am + h >= 1.0:
-        h = 0.5 * (1.0 - am)
-    tp = 1.0 / (p.k * beta_of_m(am + h, p))
-    tm = 1.0 / (p.k * beta_of_m(am - h, p))
-    dt_dm = (tp - tm) / (2.0 * h)
-    return -p.jz * am / dt_dm
+    l_over_y = beta_of_m(m, p) * p.jz
+    return p.k * l_over_y * l_over_y * (1.0 - m * m) / (2.0 * _denominator(m, scaled=True))
 
 
 def reduced_temperature(m: float, p: ModelParams) -> float:

@@ -48,10 +48,7 @@ def gas_hj_residual(g: GasState) -> float:
 
 
 def gas_recover_eos(g: GasState):
-    """Temperature and pressure from the gradient; checks both equations."""
+    """Temperature T = 1/p_U and pressure p = T p_V from the gradient."""
     p_u, p_v = gas_gradient(g)
     t = 1.0 / p_u
-    pressure = p_v * t
-    assert abs(g.u - 1.5 * g.r * t) <= 1e-13 * abs(g.u)
-    assert abs(pressure * g.v - g.r * t) <= 1e-13 * abs(g.r * t)
-    return t, pressure
+    return t, p_v * t

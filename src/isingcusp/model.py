@@ -7,7 +7,8 @@ related to the magnetic field by xi = beta*h.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 class DomainError(ValueError):
@@ -16,6 +17,13 @@ class DomainError(ValueError):
 
 class SizeError(ValueError):
     """A requested system size exceeds what a method can handle."""
+
+
+def _check_finite(obj) -> None:
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,7 @@ class ModelParams:
     n: int = 12
 
     def __post_init__(self):
+        _check_finite(self)
         if self.j <= 0:
             raise DomainError(f"coupling J must be positive, got {self.j}")
         if self.z < 1:
@@ -57,6 +66,9 @@ class ConjugateCoords:
 
     beta: float
     xi: float = 0.0
+
+    def __post_init__(self):
+        _check_finite(self)
 
 
 def to_field_coords(c: ConjugateCoords, p: ModelParams):

@@ -13,13 +13,14 @@ curve normalization by exactly k N log 2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .curve import beta_of_m, s_of_m, xi_of_m
-from .model import ConjugateCoords, DomainError, ModelParams, SizeError
+from .curve import _check_m, beta_of_m, s_of_m, xi_of_m
+from .model import ConjugateCoords, ModelParams, SizeError
+from .selfconsistent import massieu_per_site
 
 ENUM_CAP = 20
 BINOM_CAP = 10 ** 6
@@ -28,15 +29,19 @@ BINOM_CAP = 10 ** 6
 REFINE_TOL = 1e-6
 # Self-consistency residuals above this flag an off-curve point.
 FLAG_TOL = 1e-3
+# log j! comes from lgamma up to this j and from the Stirling series above,
+# where its first omitted term is below 1e-17.
+STIRLING_FROM = 32
 
 
-def _check_m(m: float) -> None:
-    if not -1.0 < m < 1.0:
-        raise DomainError(f"order parameter must satisfy |m| < 1, got {m}")
-
-
-def _log2cosh(x: float) -> float:
-    return float(np.logaddexp(x, -x))
+def _log_factorials(n: int) -> np.ndarray:
+    """log j! for j = 0..n."""
+    small = min(n, STIRLING_FROM)
+    x = np.arange(small + 2.0, n + 2.0)  # j + 1 for j > small
+    r = 1.0 / (x * x)
+    tail = ((x - 0.5) * np.log(x) - x + 0.5 * math.log(2.0 * math.pi)
+            + (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / x)
+    return np.concatenate(([math.lgamma(j + 1.0) for j in range(small + 1)], tail))
 
 
 def log_partition_enum(m: float, c: ConjugateCoords, p: ModelParams) -> float:
@@ -60,10 +65,10 @@ def log_partition_binom(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     _check_m(m)
     if p.n > BINOM_CAP:
         raise SizeError(f"binomial sum handles N <= {BINOM_CAP}, got N = {p.n}")
-    j = np.arange(p.n + 1, dtype=np.float64)
-    spin_sum = 2.0 * j - p.n
+    lf = _log_factorials(p.n)
+    spin_sum = 2.0 * np.arange(p.n + 1, dtype=np.float64) - p.n
     theta = c.beta * p.jz * m - c.xi
-    expo = (gammaln(p.n + 1.0) - gammaln(j + 1.0) - gammaln(p.n - j + 1.0)
+    expo = (lf[p.n] - lf - lf[::-1]
             - 0.5 * c.beta * p.n * p.jz * m * m + theta * spin_sum)
     mx = expo.max()
     return float(mx + np.log(np.exp(expo - mx).sum()))
@@ -76,8 +81,7 @@ def log_partition_closed(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     the cross-check for both summation methods.
     """
     _check_m(m)
-    theta = c.beta * p.jz * m - c.xi
-    return -0.5 * c.beta * p.n * p.jz * m * m + p.n * _log2cosh(theta)
+    return p.n * massieu_per_site(m, c, p)
 
 
 def log_partition(m: float, c: ConjugateCoords, p: ModelParams,

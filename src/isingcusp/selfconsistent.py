@@ -1,9 +1,13 @@
 """Roots of the self-consistent equation m = tanh(beta Jz m - xi).
 
-All roots on (-1, 1) are located by sign-change bracketing and polished
-by bisection. Stability is the fixed-point criterion: the map derivative
-beta*Jz*sech^2(beta Jz m - xi) must be below one. Among stable roots the
-equilibrium maximizes the grand Massieu function per site.
+f(m) = m - tanh(beta Jz m - xi) has f' = 1 - beta Jz sech^2(beta Jz m - xi),
+which vanishes only for beta Jz > 1, at m = (xi +- acosh(sqrt(beta Jz)))
+/ (beta Jz). Those two points split [-1, 1] into at most three monotone
+pieces with at most one root each; a piece whose end values differ in
+sign is polished by bisection. Roots on the outer, increasing pieces are
+stable fixed points and a root on the middle, decreasing piece is
+unstable. Among stable roots the equilibrium maximizes the grand Massieu
+function per site.
 """
 from __future__ import annotations
 
@@ -66,20 +70,6 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _scan(f, segments: int):
-    grid = np.linspace(-1.0, 1.0, segments + 1)
-    vals = np.array([f(float(g)) for g in grid])
-    roots = []
-    for i in range(segments):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(_bisect(f, float(grid[i]), float(grid[i + 1])))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return roots
-
-
 def solve(c: ConjugateCoords, p: ModelParams = ModelParams()) -> RootSet:
     """Find every root of m - tanh(beta Jz m - xi) and pick the equilibrium."""
     if c.beta <= 0:
@@ -89,31 +79,35 @@ def solve(c: ConjugateCoords, p: ModelParams = ModelParams()) -> RootSet:
     def f(m: float) -> float:
         return m - math.tanh(bjz * m - c.xi)
 
-    def is_stable(m: float) -> bool:
-        return bjz / math.cosh(bjz * m - c.xi) ** 2 < 1.0
+    # f(-1) <= 0 <= f(1), so whenever the middle piece decreases one of
+    # the outer pieces changes sign and a stable root exists
+    edges = [-1.0, 1.0]
+    if bjz > 1.0:
+        a = math.acosh(math.sqrt(bjz))
+        lo, hi = (min(1.0, max(-1.0, (c.xi + s) / bjz)) for s in (-a, a))
+        if f(lo) > f(hi):
+            edges = [-1.0, lo, hi, 1.0]
+    middle = 1 if len(edges) == 4 else None
+    pts = [(e, f(e)) for e in edges]
 
-    roots = _scan(f, 64)
-    # refinement pass for near-degenerate brackets; a scan that catches no
-    # attracting root at all has certainly skipped over brackets too
-    gaps_small = len(roots) > 1 and min(np.diff(sorted(roots))) < 1.0 / 64.0
-    if gaps_small or len(roots) not in (1, 3) or not any(is_stable(m) for m in roots):
-        roots = _scan(f, 1024)
-    if len(roots) > 3:
-        raise RuntimeError(f"bracketing found {len(roots)} roots, expected at most 3")
+    roots = []
+    for i, ((lo, flo), (hi, fhi)) in enumerate(zip(pts, pts[1:])):
+        if flo == 0.0:
+            m = lo
+        elif fhi == 0.0:
+            m = hi
+        elif flo * fhi < 0.0:
+            m = _bisect(f, lo, hi)
+        else:
+            continue
+        if not roots or roots[-1].m != m:
+            roots.append(Root(m=m, stable=i != middle, psi=massieu_per_site(m, c, p)))
 
-    labeled = []
-    for m in sorted(roots):
-        labeled.append(Root(m=m, stable=is_stable(m), psi=massieu_per_site(m, c, p)))
-
-    stable_idx = [i for i, r in enumerate(labeled) if r.stable]
-    if stable_idx:
-        best_psi = max(labeled[i].psi for i in stable_idx)
-        # symmetric pair at xi=0 is degenerate; tie breaks toward positive m
-        tied = [i for i in stable_idx if best_psi - labeled[i].psi < PSI_TIE]
-        selected = max(tied, key=lambda i: labeled[i].m)
-    else:
-        selected = int(np.argmax([r.psi for r in labeled]))
-    return RootSet(roots=tuple(labeled), selected=selected)
+    best_psi = max(r.psi for r in roots if r.stable)
+    # roots ascend in m, so the last tied index breaks the symmetric tie at
+    # xi=0 toward positive m
+    selected = max(i for i, r in enumerate(roots) if r.stable and best_psi - r.psi < PSI_TIE)
+    return RootSet(roots=tuple(roots), selected=selected)
 
 
 @dataclass(frozen=True)
@@ -141,15 +135,8 @@ def zero_field_branch(beta_min: float, beta_max: float, n: int,
     points = []
     for beta in np.linspace(beta_min, beta_max, n):
         beta = float(beta)
-        lam = p.k * beta
-        if beta * p.jz <= 1.0:
-            points.append(ZeroFieldPoint(beta=beta, m=0.0, s=0.0, lam=lam))
-        else:
-            rs = solve(ConjugateCoords(beta=beta, xi=0.0), p)
-            stable_ms = [r.m for r in rs.roots if r.stable and r.m > 0]
-            # exponentially close to threshold the outer roots sit below
-            # scan resolution; the branch value is indistinguishable from 0
-            m_plus = max(stable_ms) if stable_ms else 0.0
-            assert lam > p.k / p.jz
-            points.append(ZeroFieldPoint(beta=beta, m=m_plus, s=s_of_m(m_plus, p), lam=lam))
+        m = 0.0
+        if beta * p.jz > 1.0:
+            m = solve(ConjugateCoords(beta=beta, xi=0.0), p).equilibrium.m
+        points.append(ZeroFieldPoint(beta=beta, m=m, s=s_of_m(m, p), lam=p.k * beta))
     return points

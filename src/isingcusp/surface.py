@@ -13,6 +13,7 @@ vanishes identically for every a.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,21 +24,13 @@ from .model import DomainError, ModelParams
 EPS_DOM = 1e-12
 
 
-@dataclass(frozen=True)
-class ThermoState:
-    """Extensive state point (U, M); both nonzero, |2U/(Jz M)| < 1."""
-
-    u: float
-    m: float
-
-
 def _x_of(u: float, m: float, p: ModelParams) -> float:
     if m == 0.0:
         raise DomainError("M = 0 is outside the entropy domain")
     if u == 0.0:
         raise DomainError("U = 0 is outside the entropy domain")
     x = 2.0 * u / (p.jz * m)
-    if abs(x) > 1.0 - EPS_DOM:
+    if not abs(x) < 1.0 - EPS_DOM:
         raise DomainError(f"atanh argument 2U/(JzM) = {x} lies outside (-1, 1)")
     return x
 
@@ -87,6 +80,8 @@ def surface_grid(u_range, m_range, nu: int, nm: int,
     """Evaluate S on a rectangular grid; out-of-domain cells are masked, not dropped."""
     if nu < 2 or nm < 2:
         raise DomainError(f"grid needs at least 2 points per axis, got {nu}x{nm}")
+    if not all(math.isfinite(v) for v in (*u_range, *m_range)):
+        raise DomainError(f"grid ranges must be finite, got U {u_range}, M {m_range}")
     us = np.linspace(u_range[0], u_range[1], nu)
     ms = np.linspace(m_range[0], m_range[1], nm)
     cells = []

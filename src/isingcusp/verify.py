@@ -120,7 +120,7 @@ def check_cusp(p: ModelParams) -> CheckResult:
                        f"norm(1e-3) = {jn:.6e}, monotone on [1e-4, 1e-1]: {monotone}")
 
 
-def check_ideal_gas(p: ModelParams, seed: int, count: int = 100) -> CheckResult:
+def check_ideal_gas(seed: int, count: int = 100) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(count):
@@ -144,5 +144,5 @@ def run_all(p: ModelParams, seed: int = 0) -> list[CheckResult]:
         check_entropy_offset(p),
         check_exponents(p),
         check_cusp(p),
-        check_ideal_gas(p, seed),
+        check_ideal_gas(seed),
     ]

@@ -145,6 +145,30 @@ def test_domain_error_exit_code(capsys):
     assert main(["curve", "--m-min", "-1.5", "--m-max", "0.5"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--beta", "nan"],
+    ["solve", "--beta", "inf"],
+    ["solve", "--beta", "1.2", "--xi=-inf"],
+    ["curve", "--jz", "nan"],
+    ["surface", "--u-min", "nan"],
+    ["exponents", "--k", "inf"],
+    ["zero-field", "--beta-max", "inf"],
+])
+def test_non_finite_input_is_a_domain_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "isingcusp", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "nan" not in proc.stdout
+
+
+def test_curve_just_off_origin(tmp_path):
+    code, data = run_to_file(tmp_path, "c.csv", ["curve", "--m-min=-1e-6", "--m-max=1e-6",
+                                                 "--samples", "4"])
+    assert code == 0
+    assert len(data.decode().splitlines()) == 5
+
+
 def test_idealgas_report(tmp_path):
     code, data = run_to_file(tmp_path, "g.txt", ["idealgas"])
     assert code == 0

@@ -1,4 +1,5 @@
 """Susceptibility, specific heat, jacobian shrink rate, exponent fits."""
+import decimal
 import math
 
 import pytest
@@ -74,6 +75,27 @@ def c_closed(m, p):
 def test_specific_heat_closed_form_cross_check():
     for m in (0.3, 0.5, 0.8):
         assert specific_heat(m, P) == pytest.approx(c_closed(m, P), rel=1e-7)
+
+
+def c_decimal(m):
+    """C/k = L^2 (1 - y) / (2 D) at 100 digits, y = m^2, L = -log(1 - y)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        y = decimal.Decimal(m) ** 2
+        log1my = (1 - y).ln()
+        return float(log1my * log1my * (1 - y) / (2 * (y + (1 - y) * log1my)))
+
+
+@pytest.mark.parametrize("m", [1e-9, 1e-6, 6e-5, 1e-3, 0.0199, 0.0201,
+                               0.1, 0.5, 0.9, 0.99])
+def test_specific_heat_matches_decimal_reference(m):
+    assert specific_heat(m, P) == pytest.approx(c_decimal(m), rel=1e-12)
+    assert specific_heat(-m, P) == specific_heat(m, P)
+
+
+def test_specific_heat_finite_down_to_underflow():
+    for m in (1e-100, 1e-200, 5e-324):
+        assert specific_heat(m, P) == P.k
 
 
 def test_specific_heat_even():

@@ -68,6 +68,18 @@ def test_domain_errors():
             s_of_m(bad, P)
 
 
+def test_non_finite_parameters_are_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            ModelParams(j=bad)
+        with pytest.raises(DomainError):
+            ModelParams(k=bad)
+        with pytest.raises(DomainError):
+            ConjugateCoords(beta=bad)
+        with pytest.raises(DomainError):
+            ConjugateCoords(beta=1.0, xi=bad)
+
+
 def test_series_seam_agreement():
     # both branches must agree where the evaluation switches over
     for m in (M_SWITCH, -M_SWITCH):

@@ -1,5 +1,7 @@
 """Finite-size ensemble oracle: enumeration vs binomial vs closed form."""
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +61,14 @@ def test_binom_large_n_matches_closed_form():
     lb = log_partition_binom(0.5, c, p)
     lc = log_partition_closed(0.5, c, p)
     assert lb == pytest.approx(lc, rel=1e-11)
+
+
+def test_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, isingcusp; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_size_caps():

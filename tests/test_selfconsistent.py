@@ -1,4 +1,5 @@
 """Root finding, stability classification, and the zero-field branch."""
+import decimal
 import math
 
 import pytest
@@ -70,8 +71,51 @@ def test_curve_round_trip():
 def test_root_count_transitions():
     for beta in (0.2, 0.6, 1.0):
         assert len(solve(ConjugateCoords(beta, 0.0), P).roots) == 1
-    for beta in (1.000002, 1.5, 2.5):
+    for beta in (1.00000001, 1.000002, 1.5, 2.5):
         assert len(solve(ConjugateCoords(beta, 0.0), P).roots) == 3
+
+
+def decimal_outer_root(bjz, m0):
+    """60-digit Newton iteration for m = tanh(bjz m), started at m0."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        b, m = decimal.Decimal(bjz), decimal.Decimal(m0)
+        for _ in range(60):
+            e = (2 * b * m).exp()
+            t = (e - 1) / (e + 1)
+            m -= (m - t) / (1 - b * (1 - t * t))
+        return float(m)
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_just_above_critical_point(k):
+    # Curie-Weiss: at beta Jz = 1 + eps the outer roots are near +-sqrt(3 eps)
+    beta = 1.0 + 10.0 ** -k
+    rs = solve(ConjugateCoords(beta, 0.0), P)
+    assert len(rs.roots) == 3
+    assert [r.stable for r in rs.roots] == [True, False, True]
+    assert rs.roots[1].m == 0.0
+    want = decimal_outer_root(beta * P.jz, math.sqrt(3.0 * 10.0 ** -k))
+    assert abs(rs.roots[2].m - want) < 1e-12
+    assert abs(rs.roots[0].m + want) < 1e-12
+    assert rs.equilibrium is rs.roots[2]
+
+
+def test_two_close_roots_are_both_found():
+    # -0.71175 and -0.69000 lie within 1/32 of each other; only the third
+    # root, which is the equilibrium, used to be reported
+    beta, xi = 1.966230595308388, -0.508743070524412
+    rs = solve(ConjugateCoords(beta, xi), P)
+    assert [r.stable for r in rs.roots] == [True, False, True]
+    for r, want in zip(rs.roots, (-0.71175, -0.69000, 0.98509)):
+        assert r.m == pytest.approx(want, abs=1e-5)
+        assert abs(r.m - math.tanh(beta * P.jz * r.m - xi)) < 1e-13
+    assert rs.equilibrium is rs.roots[2]
+
+
+def test_critical_point_root_is_marginally_stable():
+    rs = solve(ConjugateCoords(1.0, 0.0), P)
+    assert [(r.m, r.stable) for r in rs.roots] == [(0.0, True)]
 
 
 def test_field_sign_symmetry():

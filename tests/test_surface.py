@@ -123,6 +123,17 @@ def test_in_domain():
     assert in_domain(0.125, -1.0, P)   # U > 0 valid with M < 0
 
 
+def test_non_finite_states_are_outside_the_domain():
+    for u, m in ((math.nan, 1.0), (-0.125, math.nan), (math.inf, 1.0)):
+        assert not in_domain(u, m, P)
+        with pytest.raises(DomainError):
+            entropy(u, m, P)
+    with pytest.raises(DomainError):
+        surface_grid((math.nan, 1.0), (-2.0, 2.0), 5, 5, P)
+    with pytest.raises(DomainError):
+        surface_grid((-1.0, 1.0), (-2.0, math.inf), 5, 5, P)
+
+
 def test_surface_grid_masks_instead_of_skipping():
     cells = surface_grid((-1.0, 1.0), (-2.0, 2.0), 33, 33, P)
     assert len(cells) == 33 * 33
