@@ -8,6 +8,7 @@ m -> (beta(m), xi(m)) loses rank (the cusp).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,20 @@ def _denominator(m: float, scaled: bool = False) -> float:
 
 
 def susceptibility(m: float, p: ModelParams) -> float:
-    """Closed-form susceptibility beta m^2 (1-m^2) / D; diverges at m = 0."""
+    """Closed-form susceptibility beta m^2 (1-m^2) / D; diverges at m = 0.
+
+    Where D = O(m^4) is no longer a normal float it is taken scaled, as
+    D / m^4, and m^2 is divided out one m at a time. Below |m| of about
+    1e-154 (for Jz = 1) chi itself overflows, which is a DomainError.
+    """
     _check_nonzero_m(m)
     y = m * m
-    return beta_of_m(m, p) * y * (1.0 - y) / _denominator(m)
+    if y * y >= sys.float_info.min:
+        return beta_of_m(m, p) * y * (1.0 - y) / _denominator(m)
+    chi = beta_of_m(m, p) * (1.0 - y) / _denominator(m, scaled=True) / m / m
+    if math.isinf(chi):
+        raise DomainError(f"susceptibility overflows at m = {m}")
+    return chi
 
 
 def specific_heat(m: float, p: ModelParams) -> float:

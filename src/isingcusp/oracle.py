@@ -49,15 +49,14 @@ def log_partition_enum(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     _check_m(m)
     if p.n > ENUM_CAP:
         raise SizeError(f"enumeration handles N <= {ENUM_CAP}, got N = {p.n}")
-    idx = np.arange(2 ** p.n, dtype=np.uint32)
-    up = np.zeros(idx.shape, dtype=np.int64)
-    for b in range(p.n):
-        up += (idx >> np.uint32(b)) & np.uint32(1)
-    spin_sum = 2 * up - p.n
-    theta = c.beta * p.jz * m - c.xi
-    expo = -0.5 * c.beta * p.n * p.jz * m * m + theta * spin_sum
+    # configuration i has total spin 2 popcount(i) - N; it is formed in
+    # float64 because the uint8 popcount would wrap, then reused in place
+    expo = 2.0 * np.bitwise_count(np.arange(2 ** p.n, dtype=np.uint32)) - p.n
+    expo *= c.beta * p.jz * m - c.xi
+    expo += -0.5 * c.beta * p.n * p.jz * m * m
     mx = expo.max()
-    return float(mx + np.log(np.exp(expo - mx).sum()))
+    expo -= mx
+    return float(mx + np.log(np.exp(expo, out=expo).sum()))
 
 
 def log_partition_binom(m: float, c: ConjugateCoords, p: ModelParams) -> float:

@@ -56,6 +56,31 @@ def test_chi_rejects_origin():
         susceptibility(0.0, P)
 
 
+def chi_decimal(m):
+    """chi = L (1 - y) / (Jz D) with Jz = 1, y = m^2, L = -log(1 - y).
+
+    D cancels to y^2 / 2, so the precision must cover 1 - y to well past
+    y^2: 800 digits reach m = 1e-150.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 800
+        y = decimal.Decimal(m) ** 2
+        log1my = (1 - y).ln()
+        return float(-log1my * (1 - y) / (y + (1 - y) * log1my))
+
+
+@pytest.mark.parametrize("m", [1e-78, 1e-80, 1e-100, 1e-150])
+def test_chi_matches_decimal_where_m4_underflows(m):
+    assert susceptibility(m, P) == pytest.approx(chi_decimal(m), rel=1e-13)
+    assert susceptibility(-m, P) == susceptibility(m, P)
+
+
+@pytest.mark.parametrize("m", [1e-160, 5e-324])
+def test_chi_overflow_is_a_domain_error(m):
+    with pytest.raises(DomainError):
+        susceptibility(m, P)
+
+
 def test_specific_heat_limit():
     assert specific_heat(1e-3, P) == pytest.approx(P.k, abs=1e-4)
 
