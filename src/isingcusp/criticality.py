@@ -8,7 +8,6 @@ m -> (beta(m), xi(m)) loses rank (the cusp).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,33 +24,28 @@ def _check_nonzero_m(m: float) -> None:
         raise DomainError(f"need 0 < |m| < 1, got m = {m}")
 
 
-def _denominator(m: float, scaled: bool = False) -> float:
-    """D = y + (1 - y) log(1 - y) with y = m^2, or D / y^2 when scaled.
+def _denominator(m: float) -> float:
+    """D / y^2, where D = y + (1 - y) log(1 - y) and y = m^2.
 
-    D cancels to O(y^2), so below the seam it is summed as the series
-    y^2 (1/2 + y/6 + y^2/12 + y^3/20 + y^4/30) (coefficient 1/(j(j-1)) on
-    m^(2j)); the scaled form never forms y^2 there, so it cannot underflow.
+    D cancels to O(y^2), so below the seam D / y^2 is summed as the series
+    1/2 + y/6 + y^2/12 + y^3/20 + y^4/30 (coefficient 1/(j(j-1)) on
+    m^(2j-4)); y^2 is never formed there, so it cannot underflow.
     """
     y = m * m
     if abs(m) < M_SWITCH:
-        series = 0.5 + y * (1.0 / 6.0 + y * (1.0 / 12.0 + y * (1.0 / 20.0 + y / 30.0)))
-        return series if scaled else y * y * series
-    d = y + (1.0 - y) * math.log1p(-y)
-    return d / (y * y) if scaled else d
+        return 0.5 + y * (1.0 / 6.0 + y * (1.0 / 12.0 + y * (1.0 / 20.0 + y / 30.0)))
+    return (y + (1.0 - y) * math.log1p(-y)) / (y * y)
 
 
 def susceptibility(m: float, p: ModelParams) -> float:
     """Closed-form susceptibility beta m^2 (1-m^2) / D; diverges at m = 0.
 
-    Where D = O(m^4) is no longer a normal float it is taken scaled, as
-    D / m^4, and m^2 is divided out one m at a time. Below |m| of about
-    1e-154 (for Jz = 1) chi itself overflows, which is a DomainError.
+    It is evaluated from D / m^4 with m^2 divided out one m at a time, so
+    no m^4 is formed. Below |m| of about 1e-154 (for Jz = 1) chi itself
+    overflows, which is a DomainError.
     """
     _check_nonzero_m(m)
-    y = m * m
-    if y * y >= sys.float_info.min:
-        return beta_of_m(m, p) * y * (1.0 - y) / _denominator(m)
-    chi = beta_of_m(m, p) * (1.0 - y) / _denominator(m, scaled=True) / m / m
+    chi = beta_of_m(m, p) * (1.0 - m * m) / _denominator(m) / m / m
     if math.isinf(chi):
         raise DomainError(f"susceptibility overflows at m = {m}")
     return chi
@@ -67,7 +61,7 @@ def specific_heat(m: float, p: ModelParams) -> float:
     """
     _check_nonzero_m(m)
     l_over_y = beta_of_m(m, p) * p.jz
-    return p.k * l_over_y * l_over_y * (1.0 - m * m) / (2.0 * _denominator(m, scaled=True))
+    return p.k * l_over_y * l_over_y * (1.0 - m * m) / (2.0 * _denominator(m))
 
 
 def reduced_temperature(m: float, p: ModelParams) -> float:
