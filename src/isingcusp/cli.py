@@ -3,7 +3,8 @@
 Subcommands: curve, surface, solve, exponents, verify, zero-field,
 idealgas. Data emitters honor --format csv|json and --output; reports
 print plain text. Exit codes: 0 success, 1 domain or check failure,
-2 usage or size error. Identical flags always produce identical bytes.
+2 usage, size or output error. Identical flags always produce identical
+bytes.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ def _add_output_flags(sp):
 
 
 def _params(args) -> ModelParams:
-    return ModelParams(j=args.jz, z=1, k=args.k, n=args.n)
+    return ModelParams(jz=args.jz, k=args.k, n=args.n)
 
 
 def cmd_curve(args) -> int:
@@ -175,7 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     try:
         return args.func(args)
     except SizeError as exc:
@@ -184,6 +188,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

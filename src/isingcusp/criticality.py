@@ -71,13 +71,16 @@ def reduced_temperature(m: float, p: ModelParams) -> float:
 
 
 def jacobian_norm(m: float, p: ModelParams) -> float:
-    """Euclidean norm of (dbeta/dm, dxi/dm); behaves like |m|/Jz near zero."""
+    """Euclidean norm of (dbeta/dm, dxi/dm); behaves like |m|/Jz near zero.
+
+    Both derivatives are closed forms on D/y^2 with y = m^2:
+    dbeta/dm = 2 m (D/y^2) / (Jz (1 - y)), and dxi/dm = (Jz m / 2) dbeta/dm
+    = D / (y (1 - y)) follows from beta Jz m - xi = atanh(m). No y^2 is
+    formed, so the norm stays accurate down to the smallest m.
+    """
     _check_nonzero_m(m)
-    h = 1e-6 * max(abs(m), 1e-3)
-    if abs(m) + h >= 1.0:
-        h = 0.5 * (1.0 - abs(m))
-    dbeta = (beta_of_m(m + h, p) - beta_of_m(m - h, p)) / (2.0 * h)
-    dxi = (xi_of_m(m + h, p) - xi_of_m(m - h, p)) / (2.0 * h)
+    dbeta = 2.0 * m * _denominator(m) / (p.jz * (1.0 - m * m))
+    dxi = 0.5 * p.jz * m * dbeta
     return math.hypot(dbeta, dxi)
 
 
@@ -106,6 +109,9 @@ class ExponentReport:
 
 
 def _loglog_slope(x, y):
+    # xi and t round to 0 near m = 0 (t below |m| of about 1e-8)
+    if not (np.all(x) and np.all(y)):
+        raise DomainError("exponent window reaches values that round to 0; raise m_min")
     lx, ly = np.log(np.abs(x)), np.log(np.abs(y))
     slope, intercept = np.polyfit(lx, ly, 1)
     rms = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))

@@ -28,32 +28,24 @@ def _check_finite(obj) -> None:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coupling J, coordination number z, Boltzmann k, site count N.
+    """Coupling product J*z, Boltzmann k, site count N.
 
-    Only the product J*z enters the mean-field formulas; it is exposed
-    as the ``jz`` property. N matters only to the finite oracle and to
-    extensive quantities.
+    Only the product J*z enters the mean-field formulas. N matters only
+    to the finite oracle and to extensive quantities.
     """
 
-    j: float = 1.0
-    z: int = 1
+    jz: float = 1.0
     k: float = 1.0
     n: int = 12
 
     def __post_init__(self):
         _check_finite(self)
-        if self.j <= 0:
-            raise DomainError(f"coupling J must be positive, got {self.j}")
-        if self.z < 1:
-            raise DomainError(f"coordination number z must be >= 1, got {self.z}")
+        if self.jz <= 0:
+            raise DomainError(f"coupling Jz must be positive, got {self.jz}")
         if self.k <= 0:
             raise DomainError(f"Boltzmann constant k must be positive, got {self.k}")
         if self.n < 1:
             raise DomainError(f"site count N must be >= 1, got {self.n}")
-
-    @property
-    def jz(self) -> float:
-        return self.j * self.z
 
 
 @dataclass(frozen=True)
@@ -75,12 +67,9 @@ def to_field_coords(c: ConjugateCoords, p: ModelParams):
     """Map (beta, xi) to (T, h) via T = 1/(k beta) and h = xi/beta."""
     if c.beta <= 0:
         raise DomainError(f"field coordinates need beta > 0, got {c.beta}")
-    return 1.0 / (p.k * c.beta), c.xi / c.beta
-
-
-def from_field_coords(t: float, h: float, p: ModelParams) -> ConjugateCoords:
-    """Inverse of to_field_coords."""
-    if t <= 0:
-        raise DomainError(f"temperature must be positive, got {t}")
-    beta = 1.0 / (p.k * t)
-    return ConjugateCoords(beta=beta, xi=beta * h)
+    kbeta = p.k * c.beta
+    t = 1.0 / kbeta if kbeta > 0.0 else math.inf
+    h = c.xi / c.beta
+    if math.isinf(t) or math.isinf(h):
+        raise DomainError(f"field coordinates overflow at k beta = {kbeta}, xi = {c.xi}")
+    return t, h

@@ -7,9 +7,10 @@ The grand partition function at fixed order parameter m,
 
 is evaluated two independent ways: brute-force enumeration of all 2^N
 configurations and a binomial sum over the total spin. Central
-differences of the Massieu function Psi = k log Xi recover M and U, and
-Psi + k beta U + k xi M reconstructs the entropy, which exceeds the
-curve normalization by exactly k N log 2.
+differences of log Xi with the fixed step STEP recover M and U, and
+Psi + k beta U + k xi M, with the Massieu function Psi = k log Xi,
+reconstructs the entropy, which exceeds the curve normalization by
+exactly k N log 2.
 """
 from __future__ import annotations
 
@@ -24,9 +25,9 @@ from .selfconsistent import massieu_per_site
 
 ENUM_CAP = 20
 BINOM_CAP = 10 ** 6
-# Plain central differences get a Richardson pass when they disagree
-# with the closed-form derivatives by more than this.
-REFINE_TOL = 1e-6
+# Step of the central differences in beta and xi. Their round-off,
+# about N log 2 eps / STEP, dominates the truncation error at large N.
+STEP = 1e-6
 # Self-consistency residuals above this flag an off-curve point.
 FLAG_TOL = 1e-3
 # log j! comes from lgamma up to this j and from the Stirling series above,
@@ -85,6 +86,7 @@ def log_partition_closed(m: float, c: ConjugateCoords, p: ModelParams) -> float:
 
 def log_partition(m: float, c: ConjugateCoords, p: ModelParams,
                   method: str = "auto") -> float:
+    """log Xi by "enum", "binom", "closed", or "auto" (enum up to ENUM_CAP)."""
     if method == "auto":
         method = "enum" if p.n <= ENUM_CAP else "binom"
     if method == "enum":
@@ -96,17 +98,8 @@ def log_partition(m: float, c: ConjugateCoords, p: ModelParams,
     raise ValueError(f"unknown method {method!r}")
 
 
-def psi(m: float, c: ConjugateCoords, p: ModelParams, method: str = "auto") -> float:
-    """Grand Massieu function k log Xi."""
-    return p.k * log_partition(m, c, p, method)
-
-
-def _central(f, x0: float, h: float) -> float:
-    return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
-
-
-def _richardson(f, x0: float, h: float) -> float:
-    return (4.0 * _central(f, x0, 0.5 * h) - _central(f, x0, h)) / 3.0
+def _central(f, x0: float) -> float:
+    return (f(x0 + STEP) - f(x0 - STEP)) / (2.0 * STEP)
 
 
 @dataclass(frozen=True)
@@ -119,35 +112,17 @@ class OracleResult:
 
 
 def evaluate(m: float, c: ConjugateCoords, p: ModelParams,
-             step: float = 1e-6, method: str = "auto") -> OracleResult:
-    """Psi plus its numeric derivatives and the entropy1 reconstruction.
+             method: str = "auto") -> OracleResult:
+    """Psi = k log Xi plus its numeric derivatives and the entropy1 reconstruction.
 
     m is held fixed while differentiating with respect to beta and xi;
     the self-consistent equation is imposed only afterwards.
     """
     lx = log_partition(m, c, p, method)
-
-    def psi_of_beta(beta):
-        return psi(m, ConjugateCoords(beta=beta, xi=c.xi), p, method)
-
-    def psi_of_xi(xi):
-        return psi(m, ConjugateCoords(beta=c.beta, xi=xi), p, method)
-
-    dpsi_dbeta = _central(psi_of_beta, c.beta, step)
-    dpsi_dxi = _central(psi_of_xi, c.xi, step)
-
-    # closed-form derivatives guard the step size
-    theta = c.beta * p.jz * m - c.xi
-    tanh_theta = np.tanh(theta)
-    m_closed = p.n * tanh_theta
-    u_closed = 0.5 * p.n * p.jz * m * m - p.n * p.jz * m * tanh_theta
-    if abs(-dpsi_dxi / p.k - m_closed) > REFINE_TOL * max(1.0, abs(m_closed)):
-        dpsi_dxi = _richardson(psi_of_xi, c.xi, step)
-    if abs(-dpsi_dbeta / p.k - u_closed) > REFINE_TOL * max(1.0, abs(u_closed)):
-        dpsi_dbeta = _richardson(psi_of_beta, c.beta, step)
-
-    m_numeric = -dpsi_dxi / p.k
-    u_numeric = -dpsi_dbeta / p.k
+    m_numeric = -_central(
+        lambda xi: log_partition(m, ConjugateCoords(beta=c.beta, xi=xi), p, method), c.xi)
+    u_numeric = -_central(
+        lambda beta: log_partition(m, ConjugateCoords(beta=beta, xi=c.xi), p, method), c.beta)
     s1 = p.k * lx + p.k * c.beta * u_numeric + p.k * c.xi * m_numeric
     return OracleResult(log_xi=lx, psi=p.k * lx, m_numeric=m_numeric,
                         u_numeric=u_numeric, s_entropy1=s1)
@@ -165,13 +140,13 @@ class ConsistencyReport:
 
 
 def check_self_consistency(m: float, c: ConjugateCoords, p: ModelParams,
-                           step: float = 1e-6, method: str = "auto") -> ConsistencyReport:
+                           method: str = "auto") -> ConsistencyReport:
     """Compare numeric M, U against M = Nm and U = -Jz N m^2 / 2.
 
     On the solution curve both residuals vanish to finite-difference
     accuracy; off-curve points are flagged inconsistent.
     """
-    res = evaluate(m, c, p, step, method)
+    res = evaluate(m, c, p, method)
     m_expected = p.n * m
     u_expected = -0.5 * p.jz * p.n * m * m
     m_residual = res.m_numeric - m_expected
@@ -184,12 +159,11 @@ def check_self_consistency(m: float, c: ConjugateCoords, p: ModelParams,
                              consistent=ok)
 
 
-def check_entropy_offset(m: float, p: ModelParams,
-                         step: float = 1e-6, method: str = "auto") -> float:
+def check_entropy_offset(m: float, p: ModelParams, method: str = "auto") -> float:
     """S_entropy1 minus N s(m) at the curve point for this m.
 
     The difference is the constant k N log 2, independent of m.
     """
     c = ConjugateCoords(beta=beta_of_m(m, p), xi=xi_of_m(m, p))
-    res = evaluate(m, c, p, step, method)
+    res = evaluate(m, c, p, method)
     return res.s_entropy1 - p.n * s_of_m(m, p)

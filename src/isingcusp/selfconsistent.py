@@ -75,6 +75,10 @@ def solve(c: ConjugateCoords, p: ModelParams = ModelParams()) -> RootSet:
     if c.beta <= 0:
         raise DomainError(f"solver needs beta > 0, got {c.beta}")
     bjz = c.beta * p.jz
+    # beta Jz m - xi spans +-(beta Jz + |xi|) over m in [-1, 1]
+    if not math.isfinite(bjz + abs(c.xi)):
+        raise DomainError(f"beta Jz m - xi overflows at beta = {c.beta}, "
+                          f"xi = {c.xi}, Jz = {p.jz}")
 
     def f(m: float) -> float:
         return m - math.tanh(bjz * m - c.xi)

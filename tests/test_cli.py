@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: formats, determinism, exit codes."""
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isingcusp.cli import main
 
@@ -153,6 +158,7 @@ def test_domain_error_exit_code(capsys):
     ["surface", "--u-min", "nan"],
     ["exponents", "--k", "inf"],
     ["zero-field", "--beta-max", "inf"],
+    ["solve", "--beta", "1e308", "--jz", "10"],
 ])
 def test_non_finite_input_is_a_domain_error(argv):
     proc = subprocess.run([sys.executable, "-m", "isingcusp", *argv],
@@ -160,6 +166,20 @@ def test_non_finite_input_is_a_domain_error(argv):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "nan" not in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "-1"],
+    ["idealgas", "--seed", "-1"],
+    ["curve", "--output", "{tmp}/missing/x.csv"],
+])
+def test_bad_seed_or_output_is_a_usage_error(tmp_path, argv):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "isingcusp", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
 
 
 def test_curve_just_off_origin(tmp_path):
@@ -188,3 +208,55 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "m,beta,xi,T,h,u,s,chi,c"
+
+
+NUMBER = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e308", "-1e308", "1e-300", "5e-324",
+                     "-5e-324", "0", "-1", "0.5", "1.2", "2", "1e-12"]),
+    st.floats().map(repr))
+SAMPLES = st.integers(-2, 64)
+FORMAT = st.sampled_from(["csv", "json"])
+MODEL_FLAGS = {"--jz": NUMBER, "--k": NUMBER, "--n": st.integers(-2, 24),
+               "--seed": st.integers(-3, 2 ** 32)}
+COMMAND_FLAGS = {
+    "curve": {"--m-min": NUMBER, "--m-max": NUMBER, "--samples": SAMPLES,
+              "--spacing": st.sampled_from(["linear", "log"]), "--format": FORMAT},
+    "surface": {"--u-min": NUMBER, "--u-max": NUMBER, "--m-min": NUMBER,
+                "--m-max": NUMBER, "--samples": SAMPLES, "--format": FORMAT},
+    "solve": {"--beta": NUMBER, "--xi": NUMBER, "--format": FORMAT},
+    "exponents": {"--m-min": NUMBER, "--m-max": NUMBER, "--samples": SAMPLES,
+                  "--format": FORMAT},
+    "verify": {},
+    "zero-field": {"--beta-min": NUMBER, "--beta-max": NUMBER, "--samples": SAMPLES,
+                   "--format": FORMAT},
+    "idealgas": {},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    for flag, values in {**MODEL_FLAGS, **COMMAND_FLAGS[command]}.items():
+        value = draw(st.none() | values)
+        if value is not None:
+            # --flag=value keeps argparse from reading -1e308 as an option
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+@example(["solve", "--beta=1e308", "--jz=10"])
+@example(["verify", "--seed=-1"])
+@example(["idealgas", "--seed=-1"])
+@example(["curve", "--output=" + os.path.join(os.devnull, "x")])
+def test_fuzz_main_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "nan" not in out.getvalue().lower()

@@ -2,6 +2,7 @@
 import decimal
 import math
 
+import numpy as np
 import pytest
 
 from isingcusp import (DomainError, ModelParams, beta_of_m, fit_exponents,
@@ -150,6 +151,34 @@ def test_jacobian_norm_shrinks_monotonically():
     assert all(b > a for a, b in zip(norms, norms[1:]))
 
 
+def jacobian_decimal(m, jz):
+    """|(dbeta/dm, dxi/dm)| from the quotient rule on the curve's closed forms.
+
+    With y = m^2 and L = -log(1 - y): dxi/dm = 1/(1 - y) - L/y and
+    dbeta/dm = 2 (dxi/dm) / (Jz m). The difference cancels to y/2, so
+    1 - y must be held to well past y^2: the precision grows with the
+    digits of 1/y^2.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60 + 4 * max(0, -math.floor(math.log10(abs(m))))
+        dm = decimal.Decimal(m)
+        y = dm * dm
+        dxi = 1 / (1 - y) + (1 - y).ln() / y
+        dbeta = 2 * dxi / (decimal.Decimal(jz) * dm)
+        return float((dbeta * dbeta + dxi * dxi).sqrt())
+
+
+@pytest.mark.parametrize("jz", [1.0, 2.5])
+def test_jacobian_norm_matches_decimal(jz):
+    p = ModelParams(jz=jz)
+    grid = np.concatenate((np.geomspace(1e-300, 1e-2, 16), [0.0199, 0.0201],
+                           np.geomspace(1e-2, 0.999, 30)))
+    for m in grid:
+        ref = jacobian_decimal(float(m), jz)
+        assert jacobian_norm(float(m), p) == pytest.approx(ref, rel=1e-12)
+        assert jacobian_norm(-float(m), p) == jacobian_norm(float(m), p)
+
+
 def test_fit_exponents_window():
     rep = fit_exponents(P, 1e-3, 1e-2, 20)
     assert rep.delta.value == pytest.approx(3.0, abs=0.01)
@@ -171,6 +200,8 @@ def test_fit_rejects_bad_windows():
         fit_exponents(P, 1e-3, 1e-2, 3)      # too few points
     with pytest.raises(DomainError):
         fit_exponents(P, 0.01, 0.05, 20)     # straddles the series seam
+    with pytest.raises(DomainError):
+        fit_exponents(P, 1e-12, 1e-2, 20)    # t = 1 - beta Jz rounds to 0
 
 
 def test_series_fidelity_small_m():

@@ -1,5 +1,4 @@
 """Smoke test: every script in demos/ runs clean against src/."""
-import os
 import pathlib
 import subprocess
 import sys
@@ -16,11 +15,9 @@ def test_all_six_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs_clean(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # conftest.py puts src/ on the PYTHONPATH the child inherits
     proc = subprocess.run([sys.executable, str(script)], capture_output=True,
-                          text=True, env=env, cwd=ROOT)
+                          text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert "nan" not in proc.stdout.lower()

@@ -2,6 +2,7 @@
 import decimal
 import math
 
+import numpy as np
 import pytest
 
 from isingcusp import (ConjugateCoords, DomainError, ModelParams, beta_of_m,
@@ -159,6 +160,43 @@ def test_solve_rejects_nonpositive_beta():
         solve(ConjugateCoords(0.0, 0.0), P)
     with pytest.raises(DomainError):
         solve(ConjugateCoords(-1.0, 0.0), P)
+
+
+def test_solve_rejects_overflowing_theta():
+    # beta Jz overflows to inf, or beta Jz m - xi does at m = +-1
+    with pytest.raises(DomainError):
+        solve(ConjugateCoords(1e308, 0.0), ModelParams(jz=10.0))
+    with pytest.raises(DomainError):
+        solve(ConjugateCoords(1.7e308, -1.7e308), P)
+
+
+def test_curve_lies_inside_the_spinodal_as_a_metastable_point():
+    """The curve against the spinodal, at equal beta.
+
+    The spinodal is the solver's turning point m_t = sqrt(1 - 1/(beta Jz)),
+    where xi_sp = beta Jz m_t - atanh(m_t). Near the cusp xi ~ m^3/6 and
+    xi_sp ~ (2/3) m_t^3, so xi / xi_sp tends to 1/sqrt(2) as m^2. The
+    curve point m is a stable root of the solver but not the selected
+    one: the selected root has the opposite sign. Below about
+    |m| = 1.27e-3 the two stable Massieu values differ by less than
+    PSI_TIE, so for m > 0 the tie rule picks +m there.
+    """
+    for a in np.geomspace(1e-4, 0.999, 400):
+        for m in (float(a), -float(a)):
+            c = ConjugateCoords(beta_of_m(m, P), xi_of_m(m, P))
+            bjz = c.beta * P.jz
+            m_t = math.sqrt(1.0 - 1.0 / bjz)
+            xi_sp = bjz * m_t - math.atanh(m_t)
+            assert abs(c.xi) < xi_sp
+            if abs(m) <= 0.1:
+                ratio = abs(c.xi) / xi_sp
+                assert abs(ratio - 1.0 / math.sqrt(2.0)) < 0.04 * m * m + 1e-7
+            if abs(m) >= 2e-3:
+                rs = solve(c, P)
+                assert len(rs.roots) == 3
+                (own,) = [i for i, r in enumerate(rs.roots) if abs(r.m - m) < 1e-9]
+                assert rs.roots[own].stable and own != rs.selected
+                assert rs.equilibrium.m * m < 0
 
 
 def test_zero_field_branch_values():

@@ -134,6 +134,16 @@ def test_non_finite_states_are_outside_the_domain():
         surface_grid((-1.0, 1.0), (-2.0, math.inf), 5, 5, P)
 
 
+def test_unrepresentable_states_raise_and_are_masked():
+    # Jz M underflows to 0; S meets inf * 0; S overflows
+    for u, m, p in ((1e-300, 1e-300, ModelParams(jz=1e-300)),
+                    (1e-300, 1e32, P), (-1e307, 1e308, ModelParams(k=1e10))):
+        with pytest.raises(DomainError):
+            entropy(u, m, p)
+    cells = surface_grid((-1e-300, 1e-300), (-1e308, 1e308), 9, 9, P)
+    assert all(math.isfinite(c.s) if c.valid else c.s is None for c in cells)
+
+
 def test_surface_grid_masks_instead_of_skipping():
     cells = surface_grid((-1.0, 1.0), (-2.0, 2.0), 33, 33, P)
     assert len(cells) == 33 * 33
