@@ -38,21 +38,19 @@ def _params(args) -> ModelParams:
 
 def cmd_curve(args) -> int:
     p = _params(args)
-    samples = sample_curve(args.m_min, args.m_max, args.samples, args.spacing, p)
+    c = sample_curve(args.m_min, args.m_max, args.samples, args.spacing, p)
     header = ["m", "beta", "xi", "T", "h", "u", "s", "chi", "c"]
-    rows = [[s.m, s.beta, s.xi, s.t, s.h, s.u, s.s,
-             DIVERGENT if s.chi is None else s.chi, s.c] for s in samples]
-    emit(render(args.format, header, rows), args.output)
+    columns = [c.m, c.beta, c.xi, c.t, c.h, c.u, c.s, c.chi, c.c]
+    emit(render(args.format, header, columns, fill={"chi": DIVERGENT}), args.output)
     return 0
 
 
 def cmd_surface(args) -> int:
     p = _params(args)
-    cells = surface_grid((args.u_min, args.u_max), (args.m_min, args.m_max),
-                         args.samples, args.samples, p)
-    header = ["U", "M", "S", "valid"]
-    rows = [[c.u, c.m, c.s, 1 if c.valid else 0] for c in cells]
-    emit(render(args.format, header, rows), args.output)
+    g = surface_grid((args.u_min, args.u_max), (args.m_min, args.m_max),
+                     args.samples, args.samples, p)
+    emit(render(args.format, ["U", "M", "S", "valid"], [g.u, g.m, g.s, g.valid], fill={"S": None}),
+         args.output)
     return 0
 
 
@@ -60,9 +58,8 @@ def cmd_solve(args) -> int:
     p = _params(args)
     rs = solve(ConjugateCoords(beta=args.beta, xi=args.xi), p)
     header = ["m", "stable", "psi", "selected"]
-    rows = [[r.m, 1 if r.stable else 0, r.psi, 1 if i == rs.selected else 0]
-            for i, r in enumerate(rs.roots)]
-    emit(render(args.format, header, rows), args.output)
+    rows = [[r.m, r.stable, r.psi, i == rs.selected] for i, r in enumerate(rs.roots)]
+    emit(render(args.format, header, list(zip(*rows))), args.output)
     return 0
 
 
@@ -70,17 +67,11 @@ def cmd_exponents(args) -> int:
     p = _params(args)
     rep = criticality.fit_exponents(p, args.m_min, args.m_max, args.samples)
     header = ["name", "value", "target", "window_min", "window_max", "residual"]
-    rows = [
-        ["delta", rep.delta.value, rep.delta.target,
-         rep.delta.window[0], rep.delta.window[1], rep.delta.residual],
-        ["beta", rep.beta_exp.value, rep.beta_exp.target,
-         rep.beta_exp.window[0], rep.beta_exp.window[1], rep.beta_exp.residual],
-        ["gamma", rep.gamma.value, rep.gamma.target,
-         rep.gamma.window[0], rep.gamma.window[1], rep.gamma.residual],
-        ["alpha", rep.alpha.max_deviation, rep.alpha.target,
-         rep.alpha.window[0], rep.alpha.window[1], 0.0],
-    ]
-    emit(render(args.format, header, rows), args.output)
+    rows = [[name, f.value, f.target, f.window[0], f.window[1], f.residual]
+            for name, f in (("delta", rep.delta), ("beta", rep.beta_exp), ("gamma", rep.gamma))]
+    rows.append(["alpha", rep.alpha.max_deviation, rep.alpha.target,
+                 rep.alpha.window[0], rep.alpha.window[1], 0.0])
+    emit(render(args.format, header, list(zip(*rows))), args.output)
     return 0
 
 
@@ -89,7 +80,7 @@ def cmd_zero_field(args) -> int:
     points = zero_field_branch(args.beta_min, args.beta_max, args.samples, p)
     header = ["beta", "m", "s", "lambda"]
     rows = [[pt.beta, pt.m, pt.s, pt.lam] for pt in points]
-    emit(render(args.format, header, rows), args.output)
+    emit(render(args.format, header, list(zip(*rows))), args.output)
     return 0
 
 

@@ -12,11 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import M_SWITCH, beta_of_m, xi_of_m
-from .model import DomainError, ModelParams
+from .curve import M_SWITCH, MATH_EACH, _beta_xi, _bjz_excess, beta_of_m
+from .model import DomainError, ModelParams, check_cells
 
 # Specific-heat flatness threshold for the alpha = 0 flag.
 ALPHA_TOL = 1e-3
+
+# Series/closed-form seam of D / y^2 alone. The closed form cancels to
+# y^2 / 2 and keeps about 2 eps / y relative, 4e-14 at |m| = 0.1; the
+# series below is summed to y^8 / 90, whose next term is 2e-20 relative
+# there.
+D_SWITCH = 0.1
 
 
 def _check_nonzero_m(m: float) -> None:
@@ -24,17 +30,44 @@ def _check_nonzero_m(m: float) -> None:
         raise DomainError(f"need 0 < |m| < 1, got m = {m}")
 
 
-def _denominator(m: float) -> float:
-    """D / y^2, where D = y + (1 - y) log(1 - y) and y = m^2.
+def _d_series(y):
+    # D / y^2 = sum over j >= 2 of y^(j-2) / (j (j-1)); y^2 is never formed,
+    # so it cannot underflow
+    return 0.5 + y * (1.0 / 6.0 + y * (1.0 / 12.0 + y * (1.0 / 20.0 + y * (
+        1.0 / 30.0 + y * (1.0 / 42.0 + y * (1.0 / 56.0 + y * (1.0 / 72.0 + y / 90.0)))))))
 
-    D cancels to O(y^2), so below the seam D / y^2 is summed as the series
-    1/2 + y/6 + y^2/12 + y^3/20 + y^4/30 (coefficient 1/(j(j-1)) on
-    m^(2j-4)); y^2 is never formed there, so it cannot underflow.
+
+def _d_closed(y, lib=math):
+    return (y + (1.0 - y) * lib.log1p(-y)) / (y * y)
+
+
+def _denominator(m: float) -> float:
+    """D / y^2, where D = y + (1 - y) log(1 - y) and y = m^2."""
+    y = m * m
+    if abs(m) < D_SWITCH:
+        return _d_series(y)
+    return _d_closed(y)
+
+
+def _chi(beta, m, d):
+    # beta m^2 (1 - m^2) / D from d = D / m^4, dividing m^2 out one m at a
+    # time so no m^4 is formed
+    return beta * (1.0 - m * m) / d / m / m
+
+
+def _heat(bjz, m, d, p: ModelParams):
+    # k L^2 (1 - y) / (2 D) from L / y = beta Jz and d = D / y^2
+    return p.k * bjz * bjz * (1.0 - m * m) / (2.0 * d)
+
+
+def _response(m, beta, p: ModelParams):
+    """chi and C over a float64 array of m; run under np.errstate.
+
+    chi is inf at m = 0, where C takes its limit k.
     """
     y = m * m
-    if abs(m) < M_SWITCH:
-        return 0.5 + y * (1.0 / 6.0 + y * (1.0 / 12.0 + y * (1.0 / 20.0 + y / 30.0)))
-    return (y + (1.0 - y) * math.log1p(-y)) / (y * y)
+    d = np.where(np.abs(m) < D_SWITCH, _d_series(y), _d_closed(y, MATH_EACH))
+    return _chi(beta, m, d), _heat(beta * p.jz, m, d, p)
 
 
 def susceptibility(m: float, p: ModelParams) -> float:
@@ -45,7 +78,7 @@ def susceptibility(m: float, p: ModelParams) -> float:
     overflows, which is a DomainError.
     """
     _check_nonzero_m(m)
-    chi = beta_of_m(m, p) * (1.0 - m * m) / _denominator(m) / m / m
+    chi = _chi(beta_of_m(m, p), m, _denominator(m))
     if math.isinf(chi):
         raise DomainError(f"susceptibility overflows at m = {m}")
     return chi
@@ -60,14 +93,28 @@ def specific_heat(m: float, p: ModelParams) -> float:
     0 < |m| < 1. Even in m.
     """
     _check_nonzero_m(m)
-    l_over_y = beta_of_m(m, p) * p.jz
-    return p.k * l_over_y * l_over_y * (1.0 - m * m) / (2.0 * _denominator(m))
+    return _heat(beta_of_m(m, p) * p.jz, m, _denominator(m), p)
+
+
+def _t_series(m, bjz):
+    # 1 - beta Jz from the beta series, so t keeps its digits as m -> 0
+    return -_bjz_excess(m * m) / bjz
+
+
+def _t_closed(bjz):
+    return (1.0 - bjz) / bjz
 
 
 def reduced_temperature(m: float, p: ModelParams) -> float:
-    """t = (T - T_c)/T_c = (1 - Jz beta)/(Jz beta); negative along the curve."""
+    """t = (T - T_c)/T_c = (1 - Jz beta)/(Jz beta); negative along the curve.
+
+    Below the seam 1 - Jz beta is the beta series without its constant
+    term, so t keeps full precision as m -> 0 instead of rounding to 0.
+    """
     bjz = beta_of_m(m, p) * p.jz
-    return (1.0 - bjz) / bjz
+    if abs(m) < M_SWITCH:
+        return _t_series(m, bjz)
+    return _t_closed(bjz)
 
 
 def jacobian_norm(m: float, p: ModelParams) -> float:
@@ -109,7 +156,7 @@ class ExponentReport:
 
 
 def _loglog_slope(x, y):
-    # xi and t round to 0 near m = 0 (t below |m| of about 1e-8)
+    # xi ~ m^3/6 underflows to 0 below |m| of about 1e-108, t ~ -m^2/2 below 1e-162
     if not (np.all(x) and np.all(y)):
         raise DomainError("exponent window reaches values that round to 0; raise m_min")
     lx, ly = np.log(np.abs(x)), np.log(np.abs(y))
@@ -133,12 +180,16 @@ def fit_exponents(p: ModelParams, m_min: float = 1e-3, m_max: float = 1e-2,
     if m_min < M_SWITCH <= m_max:
         raise DomainError("window straddles the series seam at "
                           f"{M_SWITCH}; fits must stay on one branch")
+    check_cells(n_points)
     window = (m_min, m_max)
     ms = np.geomspace(m_min, m_max, n_points)
-    xis = np.array([xi_of_m(float(m), p) for m in ms])
-    ts = np.array([reduced_temperature(float(m), p) for m in ms])
-    chis = np.array([susceptibility(float(m), p) for m in ms])
-    cs = np.array([specific_heat(float(m), p) for m in ms])
+    with np.errstate(all="ignore"):
+        betas, xis = _beta_xi(ms, p)
+        bjz = betas * p.jz
+        ts = np.where(ms < M_SWITCH, _t_series(ms, bjz), _t_closed(bjz))
+        chis, cs = _response(ms, betas, p)
+    if np.isinf(chis).any():
+        raise DomainError(f"susceptibility overflows in the window; raise m_min = {m_min}")
 
     delta_slope, delta_rms = _loglog_slope(ms, xis)
     beta_slope, beta_rms = _loglog_slope(ts, ms)

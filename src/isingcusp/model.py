@@ -19,6 +19,17 @@ class SizeError(ValueError):
     """A requested system size exceeds what a method can handle."""
 
 
+# Largest table (curve rows or surface cells) evaluated as columns; each
+# column of this length is 32 MiB of float64.
+MAX_CELLS = 1 << 22
+
+
+def check_cells(count: int) -> None:
+    """SizeError for a table of more than MAX_CELLS rows, before any allocation."""
+    if count > MAX_CELLS:
+        raise SizeError(f"{count} cells exceed the table cap of {MAX_CELLS}")
+
+
 def _check_finite(obj) -> None:
     for f in fields(obj):
         value = getattr(obj, f.name)
@@ -40,8 +51,9 @@ class ModelParams:
 
     def __post_init__(self):
         _check_finite(self)
-        if self.jz <= 0:
-            raise DomainError(f"coupling Jz must be positive, got {self.jz}")
+        # beta = 1/Jz at the critical point must be a finite double
+        if self.jz <= 0 or math.isinf(1.0 / self.jz):
+            raise DomainError(f"coupling Jz must be positive with a finite 1/Jz, got {self.jz}")
         if self.k <= 0:
             raise DomainError(f"Boltzmann constant k must be positive, got {self.k}")
         if self.n < 1:
@@ -63,13 +75,21 @@ class ConjugateCoords:
         _check_finite(self)
 
 
+def field_coords(beta, xi, p: ModelParams):
+    """(T, h) = (1/(k beta), xi/beta) for k beta > 0, on floats or arrays.
+
+    Unchecked: to_field_coords checks a scalar argument and its result.
+    """
+    return 1.0 / (p.k * beta), xi / beta
+
+
 def to_field_coords(c: ConjugateCoords, p: ModelParams):
     """Map (beta, xi) to (T, h) via T = 1/(k beta) and h = xi/beta."""
     if c.beta <= 0:
         raise DomainError(f"field coordinates need beta > 0, got {c.beta}")
     kbeta = p.k * c.beta
-    t = 1.0 / kbeta if kbeta > 0.0 else math.inf
-    h = c.xi / c.beta
-    if math.isinf(t) or math.isinf(h):
-        raise DomainError(f"field coordinates overflow at k beta = {kbeta}, xi = {c.xi}")
-    return t, h
+    if kbeta > 0.0:
+        t, h = field_coords(c.beta, c.xi, p)
+        if not (math.isinf(t) or math.isinf(h)):
+            return t, h
+    raise DomainError(f"field coordinates overflow at k beta = {kbeta}, xi = {c.xi}")

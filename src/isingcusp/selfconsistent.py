@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import s_of_m
-from .model import ConjugateCoords, DomainError, ModelParams
+from .model import ConjugateCoords, DomainError, ModelParams, check_cells
 
 BISECT_TOL = 1e-14
 # Stable roots whose Massieu values agree this closely count as degenerate.
@@ -25,8 +25,10 @@ PSI_TIE = 1e-12
 
 
 def _log2cosh(x: float) -> float:
-    # log(2 cosh x) without overflow
-    return float(np.logaddexp(x, -x))
+    # log(2 cosh x) = |x| + log1p(exp(-2|x|)), without overflow: the same
+    # arithmetic as np.logaddexp(x, -x), which overflows forming 2|x|
+    ax = abs(x)
+    return ax + math.log1p(math.exp(-2.0 * ax))
 
 
 def massieu_per_site(m: float, c: ConjugateCoords, p: ModelParams) -> float:
@@ -136,6 +138,10 @@ def zero_field_branch(beta_min: float, beta_max: float, n: int,
         raise DomainError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
+    # lambda = k beta must stay finite up to beta_max
+    if not math.isfinite(p.k * beta_max):
+        raise DomainError(f"k beta_max = {p.k * beta_max} is not a finite double")
+    check_cells(n)
     points = []
     for beta in np.linspace(beta_min, beta_max, n):
         beta = float(beta)

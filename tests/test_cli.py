@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -146,6 +147,19 @@ def test_verify_oversized_n_is_a_size_error(capsys):
     assert main(["verify", "--n", "25"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["surface", "--samples", "2049"],            # 2049^2 cells, just over MAX_CELLS
+    ["surface", "--samples", "1000000"],
+    ["curve", "--samples", str(10 ** 12)],
+    ["exponents", "--samples", str(10 ** 12)],
+    ["zero-field", "--samples", str(10 ** 12)],
+])
+def test_oversized_table_is_a_size_error(argv, capsys):
+    # the cap is checked before any column is allocated
+    assert main(argv) == 2
+    assert "exceed the table cap" in capsys.readouterr().err
+
+
 def test_domain_error_exit_code(capsys):
     assert main(["curve", "--m-min", "-1.5", "--m-max", "0.5"]) == 1
 
@@ -159,6 +173,10 @@ def test_domain_error_exit_code(capsys):
     ["exponents", "--k", "inf"],
     ["zero-field", "--beta-max", "inf"],
     ["solve", "--beta", "1e308", "--jz", "10"],
+    ["surface", "--m-min=-1e308", "--m-max=1e308", "--samples", "2"],   # M spacing overflows
+    ["curve", "--k", "1e308"],                                        # C overflows
+    ["zero-field", "--k", "1e308"],                                   # lambda = k beta overflows
+    ["curve", "--jz", "5e-324"],                                      # 1/Jz overflows
 ])
 def test_non_finite_input_is_a_domain_error(argv):
     proc = subprocess.run([sys.executable, "-m", "isingcusp", *argv],
@@ -251,9 +269,14 @@ def cli_argv(draw):
 @example(["verify", "--seed=-1"])
 @example(["idealgas", "--seed=-1"])
 @example(["curve", "--output=" + os.path.join(os.devnull, "x")])
+@example(["solve", "--beta=1e308"])
+@example(["surface", "--m-max=1e308", "--samples=3"])
 def test_fuzz_main_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # stderr carries one error: line at most, never a numpy RuntimeWarning
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             code = main(argv)
         except SystemExit as exc:   # argparse usage errors

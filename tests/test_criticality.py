@@ -201,7 +201,7 @@ def test_fit_rejects_bad_windows():
     with pytest.raises(DomainError):
         fit_exponents(P, 0.01, 0.05, 20)     # straddles the series seam
     with pytest.raises(DomainError):
-        fit_exponents(P, 1e-12, 1e-2, 20)    # t = 1 - beta Jz rounds to 0
+        fit_exponents(P, 1e-120, 1e-2, 20)   # xi = m^3 / 6 underflows to 0
 
 
 def test_series_fidelity_small_m():
@@ -211,3 +211,21 @@ def test_series_fidelity_small_m():
     bjz = beta_of_m(m, P) * P.jz
     assert abs(bjz - (1 + m**2 / 2 + m**4 / 3)) < 1e-11
     assert abs(xi_of_m(m, P) - (m**3 / 6 + 2 * m**5 / 15)) < 1e-13
+
+
+def test_response_matches_decimal_just_above_the_seam():
+    # the closed D/y^2 cancels to ~2 eps / y here; the series now reaches |m| = 0.1
+    for m in np.linspace(0.02, 0.05, 301):
+        m = float(m)
+        assert susceptibility(m, P) == pytest.approx(chi_decimal(m), rel=1e-13)
+        assert specific_heat(m, P) == pytest.approx(c_decimal(m), rel=1e-13)
+        assert jacobian_norm(m, P) == pytest.approx(jacobian_decimal(m, 1.0), rel=1e-13)
+
+
+def test_reduced_temperature_keeps_digits_near_the_cusp():
+    # t = -(y/2 + y^2/3 + ...)/(beta Jz) from the series, not 1 - beta Jz rounded
+    assert reduced_temperature(1e-9, P) == pytest.approx(-0.5e-18, rel=1e-12)
+    assert reduced_temperature(-1e-100, P) == pytest.approx(-0.5e-200, rel=1e-12)
+    rep = fit_exponents(P, 1e-7, 1e-6)
+    assert rep.beta_exp.value == pytest.approx(0.5, abs=1e-5)
+    assert rep.gamma.value == pytest.approx(1.0, abs=1e-5)

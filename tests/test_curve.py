@@ -167,3 +167,20 @@ def test_field_coords():
     for k in (1e-10, 5e-324):
         with pytest.raises(DomainError):
             to_field_coords(ConjugateCoords(beta=1e-300, xi=0.0), ModelParams(k=k))
+
+
+@pytest.mark.parametrize("args, p", [
+    ((-0.3, 0.3, 601, "linear"), P),                      # steps of 1e-3 through m = 0
+    ((-0.95, 0.95, 201, "linear"), ModelParams(jz=2.5, k=0.7)),
+    ((1e-14, 0.999, 400, "log"), P),                      # first point snaps to m = 0
+])
+def test_sample_curve_columns_equal_scalar_points(args, p):
+    table = sample_curve(*args, p)
+    m = np.abs(table.m)
+    # the grid spans the m = 0 row and both seams, |m| = 0.02 and 0.1 (D/y^2)
+    assert (m == 0).any() and (m < 0.02).any() and ((m >= 0.02) & (m < 0.1)).any() and (m > 0.1).any()
+    grid = np.linspace(*args[:3]) if args[3] == "linear" else np.geomspace(*args[:3])
+    # the columns round exactly like the scalar path: equal reprs, signed zeros included
+    points = [repr(curve_point(float(m), p)) for m in grid]
+    assert [repr(table[i]) for i in range(len(grid))] == points
+    assert [repr(row) for row in table] == points

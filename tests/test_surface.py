@@ -144,6 +144,17 @@ def test_unrepresentable_states_raise_and_are_masked():
     assert all(math.isfinite(c.s) if c.valid else c.s is None for c in cells)
 
 
+def test_underflowing_products_are_domain_errors():
+    # U^2 underflows to 0 in dS/dU
+    with pytest.raises(DomainError):
+        gradient(-1e-301, 1e-300, P)
+    with pytest.raises(DomainError):
+        hj_residual(-1e-301, 1e-300, P)
+    # k M underflows to 0 in the residual's 2U/(kM)
+    with pytest.raises(DomainError):
+        hj_residual(-1e-30, 1e-29, ModelParams(k=1e-300))
+
+
 def test_surface_grid_masks_instead_of_skipping():
     cells = surface_grid((-1.0, 1.0), (-2.0, 2.0), 33, 33, P)
     assert len(cells) == 33 * 33
@@ -164,3 +175,24 @@ def test_surface_grid_masks_instead_of_skipping():
 def test_surface_grid_rejects_degenerate_axes():
     with pytest.raises(DomainError):
         surface_grid((-1.0, 1.0), (-2.0, 2.0), 1, 33, P)
+
+
+@pytest.mark.parametrize("u_range, m_range, n, p, a", [
+    ((-1.0, 1.0), (-2.0, 2.0), 33, P, 0.0),
+    ((-1.0, 1.0), (-2.0, 2.0), 17, ModelParams(jz=2.5, k=0.7), 7.3),
+    ((-1e-300, 1e-300), (-1e308, 1e308), 9, P, 0.0),   # NaN and inf M, masked
+    ((-1e307, 1e307), (-1e308, 1e308), 9, ModelParams(k=1e10), 0.0),
+])
+def test_surface_grid_equals_scalar_entropy(u_range, m_range, n, p, a):
+    cells = surface_grid(u_range, m_range, n, n, p, a)
+    assert len(cells) == n * n and len(list(cells)) == n * n
+    with np.errstate(all="ignore"):
+        for i, cell in enumerate(cells):
+            assert repr(cells[i]) == repr(cell)   # NaN M cells compare unequal
+            try:
+                s = entropy(cell.u, cell.m, p, a)
+            except DomainError:
+                assert not cell.valid and cell.s is None
+            else:
+                # the same numpy ufuncs on the same operands: equal bits
+                assert cell.valid and cell.s == s
