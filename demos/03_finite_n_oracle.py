@@ -3,10 +3,10 @@
 The grand partition function of N spins factorizes, so log Xi is known
 exactly. Three independent routes compute it: brute-force enumeration
 over all 2^N configurations, a binomial sum over magnetization sectors,
-and the closed form. Differentiating numerically recovers the moments
-M and U, and the Legendre-transform entropy sits exactly N k log 2
-above N s(m): the ensembles agree up to the ground-state degeneracy
-constant.
+and the closed form. Numeric derivatives of the binomial sum, the
+oracle's default route, recover the moments M and U, and the
+Legendre-transform entropy sits exactly N k log 2 above N s(m): the
+ensembles agree up to the ground-state degeneracy constant.
 """
 import math
 

@@ -10,9 +10,8 @@ from .curve import (M_SWITCH, CurveSample, beta_of_m, curve_point, s_of_m,
                     sample_curve, u_of_m, xi_of_m)
 from .idealgas import GasState, gas_entropy, gas_gradient, gas_hj_residual, gas_recover_eos
 from .model import ConjugateCoords, DomainError, ModelParams, SizeError, to_field_coords
-from .oracle import (OracleResult, check_entropy_offset, check_self_consistency,
-                     evaluate, log_partition, log_partition_binom,
-                     log_partition_closed, log_partition_enum)
+from .oracle import (OracleResult, check_entropy_offset, evaluate, log_partition,
+                     log_partition_binom, log_partition_closed, log_partition_enum)
 from .selfconsistent import Root, RootSet, massieu_per_site, solve, zero_field_branch
 from .surface import entropy, gradient, hj_residual, in_domain, surface_grid
 from .verify import CheckResult, run_all
@@ -23,7 +22,7 @@ __all__ = [
     "ALPHA_TOL", "CheckResult", "ConjugateCoords", "CurveSample", "DomainError",
     "ExponentReport", "GasState", "M_SWITCH", "ModelParams", "OracleResult",
     "Root", "RootSet", "SizeError", "beta_of_m", "check_entropy_offset",
-    "check_self_consistency", "curve_point", "entropy", "evaluate",
+    "curve_point", "entropy", "evaluate",
     "fit_exponents", "gas_entropy", "gas_gradient", "gas_hj_residual",
     "gas_recover_eos", "gradient", "hj_residual",
     "in_domain", "jacobian_norm", "log_partition", "log_partition_binom",

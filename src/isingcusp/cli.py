@@ -19,11 +19,18 @@ from .serialize import DIVERGENT, emit, render
 from .surface import surface_grid
 
 
-def _add_model_flags(sp):
-    sp.add_argument("--jz", type=float, default=1.0, help="coupling product J*z (default 1)")
-    sp.add_argument("--k", type=float, default=1.0, help="Boltzmann constant (default 1)")
-    sp.add_argument("--n", type=int, default=12, help="oracle site count (default 12)")
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized grids (default 0)")
+MODEL_FLAGS = {
+    "jz": dict(type=float, default=1.0, help="coupling product J*z (default 1)"),
+    "k": dict(type=float, default=1.0, help="Boltzmann constant (default 1)"),
+    "n": dict(type=int, default=12, help="oracle site count (default 12)"),
+    "seed": dict(type=int, default=0, help="seed for randomized grids (default 0)"),
+}
+
+
+def _add_model_flags(sp, *names):
+    """Add the model flags that this subcommand reads, and no others."""
+    for name in names:
+        sp.add_argument(f"--{name}", **MODEL_FLAGS[name])
 
 
 def _add_output_flags(sp):
@@ -33,7 +40,9 @@ def _add_output_flags(sp):
 
 
 def _params(args) -> ModelParams:
-    return ModelParams(jz=args.jz, k=args.k, n=args.n)
+    # a parameter whose flag the subcommand lacks keeps its model default
+    return ModelParams(**{name: getattr(args, name) for name in ("jz", "k", "n")
+                          if hasattr(args, name)})
 
 
 def cmd_curve(args) -> int:
@@ -64,8 +73,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exponents(args) -> int:
-    p = _params(args)
-    rep = criticality.fit_exponents(p, args.m_min, args.m_max, args.samples)
+    # the fitted exponents depend on neither Jz nor k
+    rep = criticality.fit_exponents(ModelParams(), args.m_min, args.m_max, args.samples)
     header = ["name", "value", "target", "window_min", "window_max", "residual"]
     rows = [[name, f.value, f.target, f.window[0], f.window[1], f.residual]
             for name, f in (("delta", rep.delta), ("beta", rep.beta_exp), ("gamma", rep.gamma))]
@@ -112,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("curve", help="sample the parametric solution curve")
-    _add_model_flags(sp)
+    _add_model_flags(sp, "jz", "k")
     _add_output_flags(sp)
     sp.add_argument("--m-min", type=float, default=-0.95)
     sp.add_argument("--m-max", type=float, default=0.95)
@@ -121,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_curve)
 
     sp = sub.add_parser("surface", help="tabulate the entropy over a (U, M) grid")
-    _add_model_flags(sp)
+    _add_model_flags(sp, "jz", "k")
     _add_output_flags(sp)
     sp.add_argument("--u-min", type=float, default=-1.0)
     sp.add_argument("--u-max", type=float, default=1.0)
@@ -131,14 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_surface)
 
     sp = sub.add_parser("solve", help="roots of the self-consistent equation")
-    _add_model_flags(sp)
+    _add_model_flags(sp, "jz")
     _add_output_flags(sp)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--xi", type=float, default=0.0)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("exponents", help="fit the four critical exponents")
-    _add_model_flags(sp)
     _add_output_flags(sp)
     sp.add_argument("--m-min", type=float, default=1e-3)
     sp.add_argument("--m-max", type=float, default=1e-2)
@@ -146,12 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_exponents)
 
     sp = sub.add_parser("verify", help="run the full verification suite")
-    _add_model_flags(sp)
+    _add_model_flags(sp, "jz", "k", "n", "seed")
     sp.add_argument("--output", default="-", help="report path, - for stdout")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("zero-field", help="h=0 solution branch over a beta range")
-    _add_model_flags(sp)
+    _add_model_flags(sp, "jz", "k")
     _add_output_flags(sp)
     sp.add_argument("--beta-min", type=float, default=0.5)
     sp.add_argument("--beta-max", type=float, default=2.0)
@@ -159,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_zero_field)
 
     sp = sub.add_parser("idealgas", help="ideal-gas residual check report")
-    _add_model_flags(sp)
+    _add_model_flags(sp, "seed")
     sp.add_argument("--output", default="-", help="report path, - for stdout")
     sp.set_defaults(func=cmd_idealgas)
 
@@ -169,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
     try:
         return args.func(args)

@@ -5,12 +5,13 @@ The grand partition function at fixed order parameter m,
     Xi = sum over spin configurations of
          exp[-beta (N Jz m^2/2 - Jz m sum_i S_i) - xi sum_i S_i],
 
-is evaluated two independent ways: brute-force enumeration of all 2^N
-configurations and a binomial sum over the total spin. Central
-differences of log Xi with the fixed step STEP recover M and U, and
-Psi + k beta U + k xi M, with the Massieu function Psi = k log Xi,
-reconstructs the entropy, which exceeds the curve normalization by
-exactly k N log 2.
+is evaluated two independent ways: a binomial sum over the total spin,
+exact and O(N), which log_partition and evaluate use by default, and
+brute-force enumeration of all 2^N configurations, the reference a
+caller names (method "enum") to check the sum against. Central differences of log Xi
+with the fixed step STEP recover M and U, and Psi + k beta U + k xi M,
+with the Massieu function Psi = k log Xi, reconstructs the entropy, which
+exceeds the curve normalization by exactly k N log 2.
 """
 from __future__ import annotations
 
@@ -28,8 +29,6 @@ BINOM_CAP = 10 ** 6
 # Step of the central differences in beta and xi. Their round-off,
 # about N log 2 eps / STEP, dominates the truncation error at large N.
 STEP = 1e-6
-# Self-consistency residuals above this flag an off-curve point.
-FLAG_TOL = 1e-3
 # log j! comes from lgamma up to this j and from the Stirling series above,
 # where its first omitted term is below 1e-17.
 STIRLING_FROM = 32
@@ -85,10 +84,8 @@ def log_partition_closed(m: float, c: ConjugateCoords, p: ModelParams) -> float:
 
 
 def log_partition(m: float, c: ConjugateCoords, p: ModelParams,
-                  method: str = "auto") -> float:
-    """log Xi by "enum", "binom", "closed", or "auto" (enum up to ENUM_CAP)."""
-    if method == "auto":
-        method = "enum" if p.n <= ENUM_CAP else "binom"
+                  method: str = "binom") -> float:
+    """log Xi by "binom" (the default), "enum" or "closed"."""
     if method == "enum":
         return log_partition_enum(m, c, p)
     if method == "binom":
@@ -105,15 +102,14 @@ def _central(f, x0: float) -> float:
 @dataclass(frozen=True)
 class OracleResult:
     log_xi: float
-    psi: float
     m_numeric: float
     u_numeric: float
     s_entropy1: float
 
 
 def evaluate(m: float, c: ConjugateCoords, p: ModelParams,
-             method: str = "auto") -> OracleResult:
-    """Psi = k log Xi plus its numeric derivatives and the entropy1 reconstruction.
+             method: str = "binom") -> OracleResult:
+    """log Xi plus its numeric derivatives and the entropy1 reconstruction.
 
     m is held fixed while differentiating with respect to beta and xi;
     the self-consistent equation is imposed only afterwards.
@@ -124,46 +120,14 @@ def evaluate(m: float, c: ConjugateCoords, p: ModelParams,
     u_numeric = -_central(
         lambda beta: log_partition(m, ConjugateCoords(beta=beta, xi=c.xi), p, method), c.beta)
     s1 = p.k * lx + p.k * c.beta * u_numeric + p.k * c.xi * m_numeric
-    return OracleResult(log_xi=lx, psi=p.k * lx, m_numeric=m_numeric,
-                        u_numeric=u_numeric, s_entropy1=s1)
+    return OracleResult(log_xi=lx, m_numeric=m_numeric, u_numeric=u_numeric, s_entropy1=s1)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    m_numeric: float
-    u_numeric: float
-    m_expected: float
-    u_expected: float
-    m_residual: float
-    u_residual: float
-    consistent: bool
-
-
-def check_self_consistency(m: float, c: ConjugateCoords, p: ModelParams,
-                           method: str = "auto") -> ConsistencyReport:
-    """Compare numeric M, U against M = Nm and U = -Jz N m^2 / 2.
-
-    On the solution curve both residuals vanish to finite-difference
-    accuracy; off-curve points are flagged inconsistent.
-    """
-    res = evaluate(m, c, p, method)
-    m_expected = p.n * m
-    u_expected = -0.5 * p.jz * p.n * m * m
-    m_residual = res.m_numeric - m_expected
-    u_residual = res.u_numeric - u_expected
-    ok = (abs(m_residual) <= FLAG_TOL * max(1.0, abs(m_expected))
-          and abs(u_residual) <= FLAG_TOL * max(1.0, abs(u_expected)))
-    return ConsistencyReport(m_numeric=res.m_numeric, u_numeric=res.u_numeric,
-                             m_expected=m_expected, u_expected=u_expected,
-                             m_residual=m_residual, u_residual=u_residual,
-                             consistent=ok)
-
-
-def check_entropy_offset(m: float, p: ModelParams, method: str = "auto") -> float:
+def check_entropy_offset(m: float, p: ModelParams) -> float:
     """S_entropy1 minus N s(m) at the curve point for this m.
 
     The difference is the constant k N log 2, independent of m.
     """
     c = ConjugateCoords(beta=beta_of_m(m, p), xi=xi_of_m(m, p))
-    res = evaluate(m, c, p, method)
+    res = evaluate(m, c, p)
     return res.s_entropy1 - p.n * s_of_m(m, p)

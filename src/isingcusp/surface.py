@@ -55,28 +55,38 @@ def _unrepresentable(u: float, m: float) -> DomainError:
     return DomainError(f"result is not representable at (U, M) = ({u}, {m})")
 
 
-# The formulas below take x = 2U/(Jz M) and work on floats or arrays; the
-# scalar entry points check the domain first, the column callers mask it.
+# The formulas below take lg = log1p(-x^2) and at = atanh(x) of
+# x = 2U/(Jz M) and work on floats or arrays; the scalar entry points check
+# the domain and pass Python floats, so their arithmetic raises no numpy
+# warning, and the column callers mask the domain.
 
-def _entropy(u, m, x, p: ModelParams, a):
-    lg = np.log1p(-x * x)
-    return p.k * m * np.arctanh(x) + p.k * p.jz * m * m / (4.0 * u) * lg + a * m * m / u
+def _logs(x):
+    return np.log1p(-x * x), np.arctanh(x)
 
 
-def _gradient(u, m, x, p: ModelParams, a):
-    lg = np.log1p(-x * x)
+def _logs_of(u: float, m: float, p: ModelParams):
+    lg, at = _logs(_x_of(u, m, p))
+    return float(lg), float(at)
+
+
+def _entropy(u, m, lg, at, p: ModelParams, a):
+    return p.k * m * at + p.k * p.jz * m * m / (4.0 * u) * lg + a * m * m / u
+
+
+def _gradient(u, m, lg, at, p: ModelParams, a):
     ds_du = -p.k * p.jz * m * m / (4.0 * u * u) * lg - a * m * m / (u * u)
-    ds_dm = p.k * np.arctanh(x) + p.k * p.jz * m / (2.0 * u) * lg + 2.0 * a * m / u
+    ds_dm = p.k * at + p.k * p.jz * m / (2.0 * u) * lg + 2.0 * a * m / u
     return ds_du, ds_dm
 
 
-def _hj(u, m, x, ds_du, ds_dm, p: ModelParams):
-    return 2.0 * u / (p.k * m) * ds_du + ds_dm / p.k - np.arctanh(x)
+def _hj(u, m, at, ds_du, ds_dm, p: ModelParams):
+    return 2.0 * u / (p.k * m) * ds_du + ds_dm / p.k - at
 
 
 def entropy(u: float, m: float, p: ModelParams, a: float = 0.0) -> float:
     """Entropy at state (U, M) on the branch labeled by a."""
-    s = _entropy(u, m, _x_of(u, m, p), p, a)
+    lg, at = _logs_of(u, m, p)
+    s = _entropy(u, m, lg, at, p, a)
     if not math.isfinite(s):
         raise _unrepresentable(u, m)
     return s
@@ -84,12 +94,11 @@ def entropy(u: float, m: float, p: ModelParams, a: float = 0.0) -> float:
 
 def gradient(u: float, m: float, p: ModelParams, a: float = 0.0):
     """Analytic (dS/dU, dS/dM); equals (k beta, k xi) on the solution curve."""
-    x = _x_of(u, m, p)
+    lg, at = _logs_of(u, m, p)
     try:
-        ds_du, ds_dm = _gradient(u, m, x, p, a)
+        ds_du, ds_dm = _gradient(u, m, lg, at, p, a)
     except ZeroDivisionError:  # U^2 underflows to 0
         raise _unrepresentable(u, m) from None
-    ds_du, ds_dm = float(ds_du), float(ds_dm)
     if not (math.isfinite(ds_du) and math.isfinite(ds_dm)):
         raise _unrepresentable(u, m)
     return ds_du, ds_dm
@@ -97,11 +106,10 @@ def gradient(u: float, m: float, p: ModelParams, a: float = 0.0):
 
 def hj_residual(u: float, m: float, p: ModelParams, a: float = 0.0) -> float:
     """Residual of the Hamilton-Jacobi equation at (U, M); zero to round-off."""
-    x = _x_of(u, m, p)
+    lg, at = _logs_of(u, m, p)
     try:
-        ds_du, ds_dm = _gradient(u, m, x, p, a)
         # a non-finite derivative leaves the residual non-finite
-        r = float(_hj(u, m, x, float(ds_du), float(ds_dm), p))
+        r = _hj(u, m, at, *_gradient(u, m, lg, at, p, a), p)
     except ZeroDivisionError:  # U^2 or k M underflows to 0
         raise _unrepresentable(u, m) from None
     if not math.isfinite(r):
@@ -120,8 +128,9 @@ def state_columns(u, m, p: ModelParams, a=0.0):
         x = _x(u, m, p)
         if not (np.abs(x) < 1.0 - EPS_DOM).all():
             raise DomainError("a state lies outside the entropy domain |2U/(JzM)| < 1")
-        ds_du, ds_dm = _gradient(u, m, x, p, a)
-        cols = (_entropy(u, m, x, p, a), ds_du, ds_dm, _hj(u, m, x, ds_du, ds_dm, p))
+        lg, at = _logs(x)
+        ds_du, ds_dm = _gradient(u, m, lg, at, p, a)
+        cols = (_entropy(u, m, lg, at, p, a), ds_du, ds_dm, _hj(u, m, at, ds_du, ds_dm, p))
     if not all(np.isfinite(c).all() for c in cols):
         raise DomainError("a state's entropy or gradient is not representable")
     return cols
@@ -174,6 +183,6 @@ def surface_grid(u_range, m_range, nu: int, nm: int,
         u = np.repeat(np.linspace(u_range[0], u_range[1], nu), nm)
         m = np.tile(np.linspace(m_range[0], m_range[1], nm), nu)
         x = _x(u, m, p)
-        s = _entropy(u, m, x, p, a)
+        s = _entropy(u, m, *_logs(x), p, a)
         valid = (p.jz * m != 0.0) & (u != 0.0) & (np.abs(x) < 1.0 - EPS_DOM) & np.isfinite(s)
     return SurfaceGrid(u=u, m=m, s=np.where(valid, s, np.nan), valid=valid)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isingcusp.cli import main
+from isingcusp.cli import build_parser, main
 
 REF_SURFACE_S = "-0.126335769607853"   # %g strips trailing zeros
 
@@ -170,7 +170,7 @@ def test_domain_error_exit_code(capsys):
     ["solve", "--beta", "1.2", "--xi=-inf"],
     ["curve", "--jz", "nan"],
     ["surface", "--u-min", "nan"],
-    ["exponents", "--k", "inf"],
+    ["surface", "--k", "inf"],
     ["zero-field", "--beta-max", "inf"],
     ["solve", "--beta", "1e308", "--jz", "10"],
     ["surface", "--m-min=-1e308", "--m-max=1e308", "--samples", "2"],   # M spacing overflows
@@ -213,6 +213,19 @@ def test_idealgas_report(tmp_path):
     assert data.decode().startswith("PASS ideal-gas")
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "--n", "5"],
+    ["idealgas", "--jz", "2"],
+    ["exponents", "--k", "2"],
+    ["solve", "--beta", "1.2", "--k", "2"],
+])
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -234,28 +247,40 @@ NUMBER = st.one_of(
     st.floats().map(repr))
 SAMPLES = st.integers(-2, 64)
 FORMAT = st.sampled_from(["csv", "json"])
-MODEL_FLAGS = {"--jz": NUMBER, "--k": NUMBER, "--n": st.integers(-2, 24),
-               "--seed": st.integers(-3, 2 ** 32)}
+SEED = st.integers(-3, 2 ** 32)
+# every flag each subcommand takes, but --output
 COMMAND_FLAGS = {
-    "curve": {"--m-min": NUMBER, "--m-max": NUMBER, "--samples": SAMPLES,
-              "--spacing": st.sampled_from(["linear", "log"]), "--format": FORMAT},
-    "surface": {"--u-min": NUMBER, "--u-max": NUMBER, "--m-min": NUMBER,
-                "--m-max": NUMBER, "--samples": SAMPLES, "--format": FORMAT},
-    "solve": {"--beta": NUMBER, "--xi": NUMBER, "--format": FORMAT},
+    "curve": {"--jz": NUMBER, "--k": NUMBER, "--m-min": NUMBER, "--m-max": NUMBER,
+              "--samples": SAMPLES, "--spacing": st.sampled_from(["linear", "log"]),
+              "--format": FORMAT},
+    "surface": {"--jz": NUMBER, "--k": NUMBER, "--u-min": NUMBER, "--u-max": NUMBER,
+                "--m-min": NUMBER, "--m-max": NUMBER, "--samples": SAMPLES, "--format": FORMAT},
+    "solve": {"--jz": NUMBER, "--beta": NUMBER, "--xi": NUMBER, "--format": FORMAT},
     "exponents": {"--m-min": NUMBER, "--m-max": NUMBER, "--samples": SAMPLES,
                   "--format": FORMAT},
-    "verify": {},
-    "zero-field": {"--beta-min": NUMBER, "--beta-max": NUMBER, "--samples": SAMPLES,
-                   "--format": FORMAT},
-    "idealgas": {},
+    "verify": {"--jz": NUMBER, "--k": NUMBER, "--n": st.integers(-2, 24), "--seed": SEED},
+    "zero-field": {"--jz": NUMBER, "--k": NUMBER, "--beta-min": NUMBER, "--beta-max": NUMBER,
+                   "--samples": SAMPLES, "--format": FORMAT},
+    "idealgas": {"--seed": SEED},
 }
+
+
+def test_subcommands_take_only_the_flags_they_read():
+    subparsers = next(a for a in build_parser()._actions if a.choices)
+    assert sorted(subparsers.choices) == sorted(COMMAND_FLAGS)
+    total = 0
+    for name, sp in subparsers.choices.items():
+        flags = {a.option_strings[0] for a in sp._actions if a.option_strings} - {"-h"}
+        assert flags == {*COMMAND_FLAGS[name], "--output"}, name
+        total += len(flags)
+    assert total == 41
 
 
 @st.composite
 def cli_argv(draw):
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
     argv = [command]
-    for flag, values in {**MODEL_FLAGS, **COMMAND_FLAGS[command]}.items():
+    for flag, values in COMMAND_FLAGS[command].items():
         value = draw(st.none() | values)
         if value is not None:
             # --flag=value keeps argparse from reading -1e308 as an option

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from isingcusp import (ConjugateCoords, ModelParams, SizeError, beta_of_m,
-                       check_entropy_offset, check_self_consistency, evaluate,
-                       log_partition, log_partition_binom, log_partition_closed,
+                       check_entropy_offset, evaluate, log_partition,
+                       log_partition_binom, log_partition_closed,
                        log_partition_enum, s_of_m, xi_of_m)
+from isingcusp.oracle import BINOM_CAP, ENUM_CAP
 
 LOG2 = math.log(2.0)
 
@@ -42,13 +43,14 @@ def lse_product(m, c, p):
 
 
 def test_enum_binom_closed_agree_at_reference_point():
-    p = ModelParams(n=12)
     c = ConjugateCoords(1.1507282897, 0.0260580006)
-    le = log_partition_enum(0.5, c, p)
-    lb = log_partition_binom(0.5, c, p)
-    lc = log_partition_closed(0.5, c, p)
-    assert le == pytest.approx(lb, rel=1e-12)
-    assert le == pytest.approx(lc, rel=1e-12)
+    for n in (12, ENUM_CAP):
+        p = ModelParams(n=n)
+        le = log_partition_enum(0.5, c, p)
+        lb = log_partition_binom(0.5, c, p)
+        lc = log_partition_closed(0.5, c, p)
+        assert le == pytest.approx(lb, rel=1e-12)
+        assert le == pytest.approx(lc, rel=1e-12)
 
 
 def test_enum_binom_agree_randomized():
@@ -67,11 +69,13 @@ def test_enum_binom_agree_randomized():
 
 
 def test_binom_large_n_matches_closed_form():
-    p = ModelParams(n=10**4)
-    c = on_curve_coords(0.5, p)
-    lb = log_partition_binom(0.5, c, p)
-    lc = log_partition_closed(0.5, c, p)
-    assert lb == pytest.approx(lc, rel=1e-11)
+    for n, ms in ((10**4, (0.5,)), (BINOM_CAP, (0.1, 0.5, 0.9))):
+        p = ModelParams(n=n)
+        for m in ms:
+            c = on_curve_coords(m, p)
+            lb = log_partition_binom(m, c, p)
+            lc = log_partition_closed(m, c, p)
+            assert lb == pytest.approx(lc, rel=1e-11)
 
 
 def test_import_leaves_scipy_out():
@@ -88,13 +92,15 @@ def test_size_caps():
     with pytest.raises(SizeError):
         log_partition_binom(0.5, ConjugateCoords(1.0, 0.0),
                             ModelParams(n=10**6 + 1))
-    # dispatcher picks enum for small n, binom beyond the enum cap
-    p_small, p_big = ModelParams(n=10), ModelParams(n=100)
+
+
+def test_binomial_sum_is_the_default_route():
+    # enumeration runs only where a caller names it
     c = ConjugateCoords(1.0, 0.1)
-    assert log_partition(0.3, c, p_small) == pytest.approx(
-        log_partition_enum(0.3, c, p_small), rel=1e-15)
-    assert log_partition(0.3, c, p_big) == pytest.approx(
-        log_partition_binom(0.3, c, p_big), rel=1e-15)
+    for n in (10, 100):
+        p = ModelParams(n=n)
+        assert log_partition(0.3, c, p) == log_partition_binom(0.3, c, p)
+        assert evaluate(0.3, c, p) == evaluate(0.3, c, p, method="binom")
 
 
 def test_extensivity():
@@ -113,25 +119,6 @@ def test_moments_match_closed_derivatives():
     u_exact = 0.5 * p.n * p.jz * 0.25 - p.n * p.jz * 0.5 * math.tanh(theta)
     assert res.m_numeric == pytest.approx(m_exact, rel=1e-6)
     assert res.u_numeric == pytest.approx(u_exact, rel=1e-6, abs=1e-6)
-
-
-def test_self_consistency_on_curve():
-    p = ModelParams(n=12)
-    rep = check_self_consistency(0.5, on_curve_coords(0.5, p), p)
-    assert rep.consistent
-    assert rep.m_numeric == pytest.approx(6.0, abs=1e-4)
-    assert rep.u_numeric == pytest.approx(-1.5, abs=1e-4)
-    assert rep.m_expected == 6.0
-    assert rep.u_expected == -1.5
-
-
-def test_self_consistency_flags_off_curve():
-    # wrong xi for this m: the measured moments drift off the targets
-    p = ModelParams(n=12)
-    c = ConjugateCoords(beta_of_m(0.5, p), xi_of_m(0.5, p) + 0.3)
-    rep = check_self_consistency(0.5, c, p)
-    assert not rep.consistent
-    assert abs(rep.m_residual) > 1e-3
 
 
 def test_entropy_offset_is_n_log2():

@@ -1,8 +1,11 @@
 """Entropy surface: values, gradient, PDE residual, domain handling."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isingcusp import (DomainError, ModelParams, beta_of_m, entropy, gradient,
                        hj_residual, in_domain, s_of_m, surface_grid, u_of_m,
@@ -153,6 +156,36 @@ def test_underflowing_products_are_domain_errors():
     # k M underflows to 0 in the residual's 2U/(kM)
     with pytest.raises(DomainError):
         hj_residual(-1e-30, 1e-29, ModelParams(k=1e-300))
+
+
+# any finite double, and log-uniform magnitudes from subnormal to 1.6e308
+EXTREME = st.floats(allow_nan=False, allow_infinity=False) | st.builds(
+    lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]), st.floats(-324.0, 308.2))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(EXTREME, EXTREME, EXTREME.map(abs), EXTREME.map(abs))
+# inputs on which numpy scalar arithmetic warns (inf * 0, overflow) before
+# the DomainError
+@example(-4.2424462540271636e-86, 3.717731644512626e+184, 2.141355444661186e-174, 1e+154)
+@example(1e-300, -4.664440696494598e-41, 1.5138341883941744e+229, 1.0)
+@example(-1.0, 1.644225010257346e+202, 1.8241700598483846e+187, 5.019443523462794e-14)
+@example(49999.0, 100000.0, 1.0, 1e303)
+@example(1e-300, 1e32, 1.0, 1.0)
+def test_scalar_entry_points_are_finite_or_domain_errors(u, m, jz, k):
+    try:
+        p = ModelParams(jz=jz, k=k)
+    except DomainError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for f in (entropy, gradient, hj_residual):
+            try:
+                r = f(u, m, p)
+            except DomainError:
+                continue
+            assert all(isinstance(v, float) and math.isfinite(v)
+                       for v in (r if isinstance(r, tuple) else (r,)))
 
 
 def test_surface_grid_masks_instead_of_skipping():
