@@ -18,5 +18,6 @@ for beta in (0.6, 1.0, 1.2, 2.0):
 
 print("\nzero-field branch (lambda = k beta, ordered side needs lambda > k/Jz)")
 print(f"{'beta':>6} {'m*':>12} {'s(m*)':>12} {'lambda':>8}")
-for pt in zero_field_branch(0.8, 2.0, 7, p):
-    print(f"{pt.beta:6.2f} {pt.m:12.8f} {pt.s:12.8f} {pt.lam:8.2f}")
+z = zero_field_branch(0.8, 2.0, 7, p)
+for beta, m, s, lam in zip(z.beta, z.m, z.s, z.lam):
+    print(f"{beta:6.2f} {m:12.8f} {s:12.8f} {lam:8.2f}")

@@ -86,10 +86,8 @@ def cmd_exponents(args) -> int:
 
 def cmd_zero_field(args) -> int:
     p = _params(args)
-    points = zero_field_branch(args.beta_min, args.beta_max, args.samples, p)
-    header = ["beta", "m", "s", "lambda"]
-    rows = [[pt.beta, pt.m, pt.s, pt.lam] for pt in points]
-    emit(render(args.format, header, list(zip(*rows))), args.output)
+    z = zero_field_branch(args.beta_min, args.beta_max, args.samples, p)
+    emit(render(args.format, ["beta", "m", "s", "lambda"], [z.beta, z.m, z.s, z.lam]), args.output)
     return 0
 
 

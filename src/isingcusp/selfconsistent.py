@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .curve import s_of_m
+from .curve import MATH_EACH, _s_closed, s_of_m
 from .model import ConjugateCoords, DomainError, ModelParams, check_cells
 
 BISECT_TOL = 1e-14
@@ -72,6 +73,30 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _bisect_each(f, lo, hi):
+    """_bisect on arrays of brackets, each element taking the scalar steps."""
+    flo = f(lo)
+    hi = np.where(flo == 0.0, lo, hi)  # an exact root closes its bracket
+    while (live := hi - lo > BISECT_TOL).any():
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        exact, left = fmid == 0.0, flo * fmid < 0.0
+        hi = np.where(live & (exact | left), mid, hi)
+        lower = live & (exact | ~left)
+        lo = np.where(lower, mid, lo)
+        flo = np.where(lower, fmid, flo)
+    return 0.5 * (lo + hi)
+
+
+def _turning_points(bjz, xi, lib=math):
+    """m-+ = (xi -+ acosh(sqrt(beta Jz))) / (beta Jz), where f' = 0 (beta Jz > 1).
+
+    lib supplies acosh and sqrt: math for floats, MATH_EACH for arrays.
+    """
+    a = lib.acosh(lib.sqrt(bjz))
+    return (xi - a) / bjz, (xi + a) / bjz
+
+
 def solve(c: ConjugateCoords, p: ModelParams = ModelParams()) -> RootSet:
     """Find every root of m - tanh(beta Jz m - xi) and pick the equilibrium."""
     if c.beta <= 0:
@@ -89,8 +114,7 @@ def solve(c: ConjugateCoords, p: ModelParams = ModelParams()) -> RootSet:
     # the outer pieces changes sign and a stable root exists
     edges = [-1.0, 1.0]
     if bjz > 1.0:
-        a = math.acosh(math.sqrt(bjz))
-        lo, hi = (min(1.0, max(-1.0, (c.xi + s) / bjz)) for s in (-a, a))
+        lo, hi = (min(1.0, max(-1.0, e)) for e in _turning_points(bjz, c.xi))
         if f(lo) > f(hi):
             edges = [-1.0, lo, hi, 1.0]
     middle = 1 if len(edges) == 4 else None
@@ -116,21 +140,14 @@ def solve(c: ConjugateCoords, p: ModelParams = ModelParams()) -> RootSet:
     return RootSet(roots=tuple(roots), selected=selected)
 
 
-@dataclass(frozen=True)
-class ZeroFieldPoint:
-    beta: float
-    m: float
-    s: float
-    lam: float
-
-
 def zero_field_branch(beta_min: float, beta_max: float, n: int,
-                      p: ModelParams = ModelParams()):
-    """The h=0 solution family over a beta grid.
+                      p: ModelParams = ModelParams()) -> SimpleNamespace:
+    """The h=0 solution family over a beta grid, as float64 columns.
 
-    Below the threshold beta*Jz = 1 the only root is m=0 with S=0; above
-    it the positive stable root is reported together with lambda = k*beta,
-    which then exceeds k/Jz.
+    Returns a namespace of the columns beta, m, s and lam. Below the
+    threshold beta*Jz = 1 the only root is m=0 with S=0; above it m is
+    the equilibrium that solve selects at xi = 0, bit for bit, and
+    lambda = k*beta exceeds k/Jz.
     """
     if beta_min <= 0 or beta_max <= 0:
         raise DomainError("beta range must be positive")
@@ -142,11 +159,27 @@ def zero_field_branch(beta_min: float, beta_max: float, n: int,
     if not math.isfinite(p.k * beta_max):
         raise DomainError(f"k beta_max = {p.k * beta_max} is not a finite double")
     check_cells(n)
-    points = []
-    for beta in np.linspace(beta_min, beta_max, n):
-        beta = float(beta)
-        m = 0.0
-        if beta * p.jz > 1.0:
-            m = solve(ConjugateCoords(beta=beta, xi=0.0), p).equilibrium.m
-        points.append(ZeroFieldPoint(beta=beta, m=m, s=s_of_m(m, p), lam=p.k * beta))
-    return points
+    beta = np.linspace(beta_min, beta_max, n)
+    m = np.zeros(n)
+    with np.errstate(over="ignore"):
+        bjz = beta * p.jz
+        ordered = (bjz > 1.0) & np.isfinite(bjz)
+        b = bjz[ordered]
+
+        def f(x):
+            return x - MATH_EACH.tanh(b * x)
+
+        # solve's brackets at xi = 0, where |m-+| < 0.45 needs no clamp. If
+        # f(m-) > f(m+) holds in floating point, the equilibrium is the
+        # root on the outer piece [m+, 1], whose f(m+) < 0 (f is odd);
+        # otherwise the one bracket [-1, 1] bisects to m = 0 at once.
+        lo, hi = _turning_points(b, 0.0, MATH_EACH)
+        outer = np.where(f(1.0) == 0.0, 1.0, _bisect_each(f, hi, np.ones_like(hi)))
+        m[ordered] = np.where(f(lo) > f(hi), outer, 0.0)
+        bad = np.flatnonzero(np.isinf(bjz) | (m == 1.0))
+        if bad.size:
+            # the first row the scalar path rejects raises its error: beta Jz
+            # overflowing in solve, or m rounding to 1 in s_of_m
+            s_of_m(solve(ConjugateCoords(beta=float(beta[bad[0]]), xi=0.0), p).equilibrium.m, p)
+        s = np.where(m == 0.0, 0.0, _s_closed(m, p, MATH_EACH))
+    return SimpleNamespace(beta=beta, m=m, s=s, lam=p.k * beta)

@@ -1,15 +1,18 @@
 """Bit-stable CSV and JSON emitters over columns.
 
 A table is a header and one column per name: a float, integer or bool
-array, or a sequence of strings. Each row has one %-template, and the
-templates of all rows, joined, format every cell in one operation. CSV
-floats go out with 17 significant digits so a parse round-trip is
+array, or a sequence of strings. Every row has the same %-template, and
+the template repeated once per row formats every cell in one operation.
+CSV floats go out with 17 significant digits so a parse round-trip is
 lossless; JSON floats use the shortest round-trip repr, as `json.dumps`
 does. Negative zero is normalized away so reruns diff clean. NaN marks
 a masked cell in a column given a fill: an empty CSV field or a JSON
 null, or the fill string (the divergent susceptibility at m = 0 is the
 literal sentinel `divergent`). Any other non-finite float is a
-DomainError, so neither nan nor inf is ever written.
+DomainError, so neither nan nor inf is ever written. A float column
+that repeats a value or holds a masked cell is formatted as text: each
+distinct value once, then each cell takes its value's text, the fill
+for a masked one. Other float columns go to the template as floats.
 """
 from __future__ import annotations
 
@@ -27,31 +30,40 @@ DIVERGENT = "divergent"
 _FLOAT_SPEC = {"csv": "%.17g", "json": "%r"}
 
 
-def _masked_spec(fmt: str, fill) -> str:
+def _fill_text(fmt: str, fill) -> str:
     if fill is None:
-        text = "" if fmt == "csv" else "null"
-    else:
-        text = fill if fmt == "csv" else json.dumps(fill)
-    # %.0s consumes the cell's NaN and prints nothing of it
-    return text + "%.0s"
+        return "" if fmt == "csv" else "null"
+    return fill if fmt == "csv" else json.dumps(fill)
 
 
-def _prepare(fmt: str, name: str, column, maskable: bool):
-    """(values as Python objects, spec of a present cell, NaN mask or None)."""
+def _prepare(fmt: str, name: str, column, fill):
+    """(cell values as Python objects, their %-spec).
+
+    fill maps the names of maskable columns to their fill, as in render.
+    """
     col = np.asarray(column)
     kind = col.dtype.kind
     if kind == "f":
         col = col + 0.0  # -0.0 + 0.0 is +0.0; NaN stays NaN
-        mask = np.isnan(col)
-        if np.isinf(col).any() or mask.any() and not maskable:
+        masked = bool(np.isnan(col).any())
+        if np.isinf(col).any() or masked and name not in fill:
             raise DomainError(f"column {name} holds a value that is not a finite double")
-        return col.tolist(), _FLOAT_SPEC[fmt], mask if mask.any() else None
+        # NaNs collapse into one distinct value, sorted last
+        distinct, inverse = np.unique(col, return_inverse=True)
+        if len(distinct) == len(col) and not masked:
+            return col.tolist(), _FLOAT_SPEC[fmt]
+        # format each distinct value once, in one % operation, and give
+        # every cell the text of its value
+        finite = distinct[:len(distinct) - masked].tolist()
+        text = ((_FLOAT_SPEC[fmt] + "\n") * len(finite) % tuple(finite)).split("\n")
+        text[-1] = _fill_text(fmt, fill.get(name))  # only a masked cell points past finite
+        return np.array(text, dtype=object)[inverse].tolist(), "%s"
     if kind in "biu":
-        return col.tolist(), "%d", None
+        return col.tolist(), "%d"
     values = [str(v) for v in column]
     if fmt == "json":
         values = [json.dumps(v) for v in values]
-    return values, "%s", None
+    return values, "%s"
 
 
 def render(fmt: str, header, columns, fill=None) -> str:
@@ -63,44 +75,20 @@ def render(fmt: str, header, columns, fill=None) -> str:
     if fmt not in _FLOAT_SPEC:
         raise ValueError(f"unknown format {fmt!r}")
     fill = fill or {}
-    values, specs, masks = [], [], []
-    for i, (name, column) in enumerate(zip(header, columns)):
-        vals, spec, mask = _prepare(fmt, name, column, name in fill)
-        values.append(vals)
-        specs.append(spec)
-        if mask is not None:
-            masks.append((i, mask, _masked_spec(fmt, fill[name])))
-
+    values, specs = zip(*(_prepare(fmt, name, column, fill)
+                          for name, column in zip(header, columns)))
+    n_rows = len(values[0])
     if fmt == "csv":
         head, sep, tail = ",".join(header) + "\n", "", ""
-
-        def template(cells):
-            return ",".join(cells) + "\n"
+        template = ",".join(specs) + "\n"
     else:
-        keys = ["    %s: " % json.dumps(name) for name in header]
+        if not n_rows:
+            return "[]\n"
         head, sep, tail = "[\n", ",\n", "\n]\n"
-
-        def template(cells):
-            return "  {\n" + ",\n".join(k + c for k, c in zip(keys, cells)) + "\n  }"
-
-    n_rows = len(values[0])
-    if not n_rows and fmt == "json":
-        return "[]\n"
-    if masks:
-        # one template per combination of masked cells, picked per row
-        flags = list(zip(*(mask.tolist() for _, mask, _ in masks)))
-        by_flags = {}
-        for f in set(flags):
-            cells = list(specs)
-            for (i, _, spec), masked in zip(masks, f):
-                if masked:
-                    cells[i] = spec
-            by_flags[f] = template(cells)
-        templates = [by_flags[f] for f in flags]
-    else:
-        templates = [template(specs)] * n_rows
+        template = "  {\n" + ",\n".join("    %s: " % json.dumps(name) + spec
+                                         for name, spec in zip(header, specs)) + "\n  }"
     # the row templates joined are one format string for all cells, row-major
-    return head + sep.join(templates) % tuple(chain.from_iterable(zip(*values))) + tail
+    return head + sep.join([template] * n_rows) % tuple(chain.from_iterable(zip(*values))) + tail
 
 
 def emit(text: str, output: str) -> None:

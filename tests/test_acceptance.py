@@ -148,9 +148,9 @@ def test_ac09_zero_field_branch():
     for beta in (0.3, 0.7, 1.0):
         rs = solve(ConjugateCoords(beta, 0.0), P)
         assert len(rs.roots) == 1 and rs.roots[0].m == 0.0
-    below = [pt for pt in zero_field_branch(0.5, 2.0, 61, P)
-             if pt.beta * P.jz <= 1.0]
-    assert below and all(pt.s == 0.0 for pt in below)
+    z = zero_field_branch(0.5, 2.0, 61, P)
+    below = z.s[z.beta * P.jz <= 1.0]
+    assert below.size and all(below == 0.0)
 
     rs = solve(ConjugateCoords(1.2, 0.0), P)
     stable_ms = sorted(r.m for r in rs.roots if r.stable)

@@ -12,6 +12,7 @@ P = ModelParams()
 
 M_STAR_1P2 = 0.65856966040575405      # positive root of m = tanh(1.2 m)
 M_STAR_NEAR = 0.017318949386944285    # positive root at beta*Jz = 1.0001
+EPS = 2.0 ** -52
 
 
 def bisect_root(beta, jz, lo=1e-6, hi=0.999999, tol=1e-12):
@@ -200,33 +201,55 @@ def test_curve_lies_inside_the_spinodal_as_a_metastable_point():
 
 
 def test_zero_field_branch_values():
-    pts = zero_field_branch(0.5, 2.0, 61, P)
-    assert len(pts) == 61
-    for pt in pts:
-        if pt.beta * P.jz <= 1.0:
-            assert pt.m == 0.0
-            assert pt.s == 0.0
+    z = zero_field_branch(0.5, 2.0, 61, P)
+    assert len(z.beta) == len(z.m) == len(z.s) == len(z.lam) == 61
+    for beta, m, s, lam in zip(z.beta.tolist(), z.m.tolist(), z.s.tolist(), z.lam.tolist()):
+        if beta * P.jz <= 1.0:
+            assert m == 0.0
+            assert s == 0.0
         else:
-            assert pt.m > 0.0
-            assert pt.lam > P.k / P.jz
-            assert pt.s == pytest.approx(s_of_m(pt.m, P), rel=1e-12)
-        assert pt.lam == pytest.approx(P.k * pt.beta, rel=1e-15)
-    at_12 = min(pts, key=lambda q: abs(q.beta - 1.2))
-    assert at_12.beta == pytest.approx(1.2, abs=1e-12)
-    assert at_12.m == pytest.approx(M_STAR_1P2, rel=1e-10)
+            assert m > 0.0
+            assert lam > P.k / P.jz
+            assert s == pytest.approx(s_of_m(m, P), rel=1e-12)
+        assert lam == pytest.approx(P.k * beta, rel=1e-15)
+    at_12 = np.argmin(np.abs(z.beta - 1.2))
+    assert z.beta[at_12] == pytest.approx(1.2, abs=1e-12)
+    assert z.m[at_12] == pytest.approx(M_STAR_1P2, rel=1e-10)
 
 
 def test_zero_field_just_above_threshold():
-    pts = zero_field_branch(1.0001, 1.01, 2, P)
+    z = zero_field_branch(1.0001, 1.01, 2, P)
     # first grid point sits barely past the threshold; the tiny positive
     # root must be resolved, not rounded down to zero
-    first = pts[0]
-    assert first.beta == pytest.approx(1.0001, abs=1e-12)
-    assert first.m == pytest.approx(M_STAR_NEAR, rel=1e-8)
-    assert 0.0 < first.m < 0.02
+    assert z.beta[0] == pytest.approx(1.0001, abs=1e-12)
+    assert z.m[0] == pytest.approx(M_STAR_NEAR, rel=1e-8)
+    assert 0.0 < z.m[0] < 0.02
 
 
 def test_zero_field_branch_is_monotone():
-    pts = zero_field_branch(1.05, 3.0, 40, P)
-    ms = [pt.m for pt in pts]
+    ms = zero_field_branch(1.05, 3.0, 40, P).m
     assert all(b > a for a, b in zip(ms, ms[1:]))
+
+
+@pytest.mark.parametrize("jz", [0.37, 1.0, 2.5])
+@pytest.mark.parametrize("lo, hi, n", [(0.5, 2.0, 301), (0.999999, 1.000001, 201),
+                                       (0.9, 18.5, 400), (1.0, 1.0 + 4 * EPS, 5)])
+def test_zero_field_columns_equal_solve(jz, lo, hi, n):
+    # the column bisection takes solve's steps, so m is bit-equal to the
+    # selected root at every beta, the near-threshold rows included; at
+    # beta Jz = 1 + eps, f(m-) > f(m+) fails in floating point and m = 0
+    p = ModelParams(jz=jz, k=0.7)
+    z = zero_field_branch(lo / jz, hi / jz, n, p)
+    for beta, m, s in zip(z.beta.tolist(), z.m.tolist(), z.s.tolist()):
+        expected = solve(ConjugateCoords(beta, 0.0), p).equilibrium.m if beta * jz > 1.0 else 0.0
+        assert m.hex() == expected.hex()
+        assert s.hex() == s_of_m(m, p).hex()
+
+
+def test_zero_field_rejects_m_rounding_to_one():
+    # tanh(beta Jz) rounds to 1 above beta Jz ~ 19.06, so the root is m = 1
+    assert solve(ConjugateCoords(25.0, 0.0), P).equilibrium.m == 1.0
+    with pytest.raises(DomainError, match=r"\|m\| < 1"):
+        zero_field_branch(0.5, 40.0, 5, P)
+    with pytest.raises(DomainError, match="overflows"):
+        zero_field_branch(0.5, 1e308, 2, ModelParams(jz=10.0))

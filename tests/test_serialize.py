@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isingcusp import DomainError
 from isingcusp.serialize import DIVERGENT, render
@@ -117,3 +119,45 @@ def test_non_finite_value_is_a_domain_error():
             render(fmt, ["a"], [[1.0, math.inf]], fill={"a": None})
         with pytest.raises(DomainError):
             render(fmt, ["a"], [[1.0, NAN]])   # NaN is a mask only where a fill is given
+
+
+# A small pool, so that drawn columns repeat values and take the
+# format-each-distinct-value-once path as well as the direct one.
+POOL = [0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, -1e300, 1.0000000000000002, 7.0]
+
+
+@st.composite
+def pooled_tables(draw):
+    n = draw(st.integers(0, 12))
+
+    def column(values):
+        return st.lists(values, min_size=n, max_size=n)
+    distinct = st.floats(allow_nan=False, allow_infinity=False)
+    columns = {
+        "pooled": draw(column(st.sampled_from(POOL))),
+        "s": draw(column(st.sampled_from(POOL + [NAN]))),
+        "chi": draw(column(st.sampled_from(POOL + [NAN]))),
+        "same": [draw(st.sampled_from(POOL + [NAN]))] * n,
+        "distinct": draw(st.lists(distinct, min_size=n, max_size=n, unique=True)),
+        "name": draw(column(st.sampled_from(["a", "b,c", 'q"uote', "divergent"]))),
+        "valid": draw(column(st.booleans())),
+        "count": draw(column(st.integers(-3, 3))),
+    }
+    return draw(st.permutations(list(columns))), columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(pooled_tables())
+def test_pooled_columns_match_row_at_a_time_emitters(table):
+    header, columns = table
+    fill = {"s": None, "chi": DIVERGENT, "same": None}
+
+    def cell(name, v):
+        return fill[name] if name in fill and math.isnan(v) else v
+    rows = [[cell(name, v) for name, v in zip(header, row)]
+            for row in zip(*(columns[name] for name in header))]
+    floats = ("pooled", "s", "chi", "same", "distinct")
+    cols = [np.asarray(columns[name], dtype=float) if name in floats else columns[name]
+            for name in header]
+    for fmt, reference in (("csv", _row_csv), ("json", _row_json)):
+        assert render(fmt, header, cols, fill) == reference(header, rows)
