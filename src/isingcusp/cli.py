@@ -9,6 +9,8 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 
 from . import criticality, verify
@@ -178,7 +180,10 @@ def main(argv=None) -> int:
     if getattr(args, "seed", 0) < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        # stdout may hold the whole table until now; a closed pipe raises here
+        sys.stdout.flush()
+        return code
     except SizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -190,5 +195,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """The `isingcusp` process, as the console script and `python -m isingcusp`."""
+    # what the import built lives until exit: frozen, the collector skips it
+    gc.freeze()
+    try:
+        return main()
+    finally:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # main has reported the closed stdout; what its buffer still holds
+            # goes to devnull, else the flush at interpreter exit fails again,
+            # prints a traceback and exits 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

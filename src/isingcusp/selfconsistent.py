@@ -38,14 +38,14 @@ def massieu_per_site(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     return -0.5 * c.beta * p.jz * m * m + _log2cosh(theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Root:
     m: float
     stable: bool
     psi: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootSet:
     """Roots sorted ascending in m; selected indexes the equilibrium root."""
 
@@ -57,13 +57,20 @@ class RootSet:
         return self.roots[self.selected]
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    flo = f(lo)
+def _f(bjz: float, xi: float, m: float) -> float:
+    """f(m) = m - tanh(beta Jz m - xi), zero exactly at the roots."""
+    return m - math.tanh(bjz * m - xi)
+
+
+def _bisect(bjz: float, xi: float, lo: float, hi: float) -> float:
+    # f is _f written out: a Python call per step was most of a solve's time
+    tanh, tol = math.tanh, BISECT_TOL
+    flo = lo - tanh(bjz * lo - xi)
     if flo == 0.0:
         return lo
-    while hi - lo > BISECT_TOL:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
+        fmid = mid - tanh(bjz * mid - xi)
         if fmid == 0.0:
             return mid
         if flo * fmid < 0.0:
@@ -99,45 +106,51 @@ def _turning_points(bjz, xi, lib=math):
 
 def solve(c: ConjugateCoords, p: ModelParams = ModelParams()) -> RootSet:
     """Find every root of m - tanh(beta Jz m - xi) and pick the equilibrium."""
-    if c.beta <= 0:
-        raise DomainError(f"solver needs beta > 0, got {c.beta}")
-    bjz = c.beta * p.jz
+    beta, xi = c.beta, c.xi
+    if beta <= 0:
+        raise DomainError(f"solver needs beta > 0, got {beta}")
+    bjz = beta * p.jz
     # beta Jz m - xi spans +-(beta Jz + |xi|) over m in [-1, 1]
-    if not math.isfinite(bjz + abs(c.xi)):
-        raise DomainError(f"beta Jz m - xi overflows at beta = {c.beta}, "
-                          f"xi = {c.xi}, Jz = {p.jz}")
-
-    def f(m: float) -> float:
-        return m - math.tanh(bjz * m - c.xi)
+    if not math.isfinite(bjz + abs(xi)):
+        raise DomainError(f"beta Jz m - xi overflows at beta = {beta}, "
+                          f"xi = {xi}, Jz = {p.jz}")
 
     # f(-1) <= 0 <= f(1), so whenever the middle piece decreases one of
     # the outer pieces changes sign and a stable root exists
     edges = [-1.0, 1.0]
+    values = [_f(bjz, xi, -1.0), _f(bjz, xi, 1.0)]
+    middle = -1  # the index of the decreasing piece, once there is one
     if bjz > 1.0:
-        lo, hi = (min(1.0, max(-1.0, e)) for e in _turning_points(bjz, c.xi))
-        if f(lo) > f(hi):
+        lo, hi = _turning_points(bjz, xi)
+        lo = -1.0 if lo < -1.0 else 1.0 if lo > 1.0 else lo
+        hi = -1.0 if hi < -1.0 else 1.0 if hi > 1.0 else hi
+        flo, fhi = _f(bjz, xi, lo), _f(bjz, xi, hi)
+        if flo > fhi:
             edges = [-1.0, lo, hi, 1.0]
-    middle = 1 if len(edges) == 4 else None
-    pts = [(e, f(e)) for e in edges]
+            values = [values[0], flo, fhi, values[1]]
+            middle = 1
 
     roots = []
-    for i, ((lo, flo), (hi, fhi)) in enumerate(zip(pts, pts[1:])):
+    for i in range(len(edges) - 1):
+        flo, fhi = values[i], values[i + 1]
         if flo == 0.0:
-            m = lo
+            m = edges[i]
         elif fhi == 0.0:
-            m = hi
+            m = edges[i + 1]
         elif flo * fhi < 0.0:
-            m = _bisect(f, lo, hi)
+            m = _bisect(bjz, xi, edges[i], edges[i + 1])
         else:
             continue
         if not roots or roots[-1].m != m:
-            roots.append(Root(m=m, stable=i != middle, psi=massieu_per_site(m, c, p)))
+            roots.append(Root(m, i != middle, massieu_per_site(m, c, p)))
 
-    best_psi = max(r.psi for r in roots if r.stable)
     # roots ascend in m, so the last tied index breaks the symmetric tie at
     # xi=0 toward positive m
-    selected = max(i for i, r in enumerate(roots) if r.stable and best_psi - r.psi < PSI_TIE)
-    return RootSet(roots=tuple(roots), selected=selected)
+    best_psi = max([r.psi for r in roots if r.stable])
+    selected = len(roots) - 1
+    while not (roots[selected].stable and best_psi - roots[selected].psi < PSI_TIE):
+        selected -= 1
+    return RootSet(tuple(roots), selected)
 
 
 def zero_field_branch(beta_min: float, beta_max: float, n: int,

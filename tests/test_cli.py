@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: formats, determinism, exit codes."""
 import contextlib
+import importlib
 import io
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -233,12 +236,41 @@ def test_unknown_subcommand_usage_error():
 
 
 def test_console_script_entry_point():
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    # the [project.scripts] line; tomllib needs Python 3.11, the package 3.10
+    module, attr = re.search(r'^isingcusp = "([\w.]+):(\w+)"$', pyproject.read_text(), re.M).groups()
+    assert getattr(importlib.import_module(module), attr) is \
+        importlib.import_module("isingcusp.__main__").entry
+    # what an installed console script does: import the target, exit with its code
+    script = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     proc = subprocess.run(
-        [sys.executable, "-m", "isingcusp", "curve", "--samples", "3",
+        [sys.executable, "-c", script, "curve", "--samples", "3",
          "--m-min", "-0.5", "--m-max", "0.5"],
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "m,beta,xi,T,h,u,s,chi,c"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["solve", "--beta", "1.2"], ["verify", "--n", "4"],
+                                  ["curve", "--samples", "20001"]],
+                         ids=["solve", "verify", "curve-20001-rows"])
+def test_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
+    # buffered, a small output meets the closed pipe only when stdout is
+    # flushed; unbuffered, or past the buffer's size, the write itself fails
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # a pipe with no reader: every write fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "isingcusp", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error:")
 
 
 NUMBER = st.one_of(

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isingcusp import (ConjugateCoords, DomainError, ModelParams, beta_of_m,
-                       s_of_m, solve, xi_of_m, zero_field_branch)
+                       massieu_per_site, s_of_m, solve, xi_of_m, zero_field_branch)
 
 P = ModelParams()
 
@@ -51,6 +53,72 @@ def test_low_temperature_triple_root():
     assert by_m[round(-M_STAR_1P2, 6)].stable
     # symmetric pair ties in psi; tie breaks toward positive m
     assert rs.equilibrium.m == pytest.approx(M_STAR_1P2, rel=1e-12)
+
+
+def reference_solve(c, p):
+    """solve written with a closure for f and generators, step for step the
+    same arithmetic: (m, stable, psi) per root and the selected index."""
+    bjz = c.beta * p.jz
+
+    def f(m):
+        return m - math.tanh(bjz * m - c.xi)
+
+    def bisect(lo, hi):
+        flo = f(lo)
+        if flo == 0.0:
+            return lo
+        while hi - lo > 1e-14:
+            mid = 0.5 * (lo + hi)
+            fmid = f(mid)
+            if fmid == 0.0:
+                return mid
+            if flo * fmid < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        return 0.5 * (lo + hi)
+
+    edges = [-1.0, 1.0]
+    if bjz > 1.0:
+        a = math.acosh(math.sqrt(bjz))
+        lo, hi = (min(1.0, max(-1.0, e)) for e in ((c.xi - a) / bjz, (c.xi + a) / bjz))
+        if f(lo) > f(hi):
+            edges = [-1.0, lo, hi, 1.0]
+    middle = 1 if len(edges) == 4 else None
+    pts = [(e, f(e)) for e in edges]
+    roots = []
+    for i, ((lo, flo), (hi, fhi)) in enumerate(zip(pts, pts[1:])):
+        if flo == 0.0:
+            m = lo
+        elif fhi == 0.0:
+            m = hi
+        elif flo * fhi < 0.0:
+            m = bisect(lo, hi)
+        else:
+            continue
+        if not roots or roots[-1][0] != m:
+            roots.append((m, i != middle, massieu_per_site(m, c, p)))
+    best_psi = max(psi for _, stable, psi in roots if stable)
+    selected = max(i for i, (_, stable, psi) in enumerate(roots)
+                   if stable and best_psi - psi < 1e-12)
+    return roots, selected
+
+
+@settings(max_examples=400, deadline=None)
+@given(beta=st.floats(0.0, 5.0, exclude_min=True), xi=st.floats(-3.0, 3.0),
+       jz=st.floats(0.3, 3.0))
+@example(beta=1.0 + EPS, xi=0.0, jz=1.0)
+@example(beta=1.0 + 1e-10, xi=0.0, jz=1.0)
+@example(beta=1.966230595308388, xi=-0.508743070524412, jz=1.0)  # two close roots
+@example(beta=3.0, xi=2.9, jz=1.0)  # m+ = 1.349 clamps to 1
+@example(beta=1.2, xi=0.0, jz=1.0)  # the symmetric psi tie
+def test_solve_matches_reference_bisection(beta, xi, jz):
+    c, p = ConjugateCoords(beta, xi), ModelParams(jz=jz)
+    rs = solve(c, p)
+    roots, selected = reference_solve(c, p)
+    assert [(r.m.hex(), r.stable, r.psi.hex()) for r in rs.roots] == \
+        [(m.hex(), stable, psi.hex()) for m, stable, psi in roots]
+    assert rs.selected == selected
 
 
 def test_root_matches_independent_bisection():
