@@ -113,8 +113,14 @@ def cmd_idealgas(args) -> int:
     return 0 if r.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse drops an OSError from this write; entry reports it instead
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isingcusp",
         description="Mean-field Ising entropy surface, solution curves, "
                     "exact finite-N oracle, and critical exponents.")
@@ -196,17 +202,28 @@ def main(argv=None) -> int:
 
 
 def entry() -> int:
-    """The `isingcusp` process, as the console script and `python -m isingcusp`."""
+    """The `isingcusp` process, as the console script and `python -m isingcusp`.
+
+    A closed stdout exits 2 with one `error:` line, --help's too: parse_args
+    exits before main reports errors, so entry flushes its help here.
+    """
     # what the import built lives until exit: frozen, the collector skips it
     gc.freeze()
     try:
-        return main()
+        try:
+            return main()
+        except SystemExit as exc:  # parse_args: 0 after --help, 2 after a usage error
+            sys.stdout.flush()
+            return exc.code
+    except OSError as exc:  # --help's write, unbuffered, or its flush
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         try:
             sys.stdout.flush()
         except OSError:
-            # main has reported the closed stdout; what its buffer still holds
-            # goes to devnull, else the flush at interpreter exit fails again,
+            # the closed stdout is reported; what its buffer still holds goes
+            # to devnull, else the flush at interpreter exit fails again,
             # prints a traceback and exits 120
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 

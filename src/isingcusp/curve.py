@@ -44,10 +44,10 @@ def _each(f):
 # numpy's log1p and arctanh differ from math's by 1-3 ulps on many inputs,
 # and the cancellation in xi near the seam magnifies that ~1e4 times. Per
 # element math costs ~0.1 us against numpy's ~5 ns, small beside the
-# ~0.5 us that formatting each output cell costs. tanh, acosh and sqrt
-# serve the zero-field bisection, which must match solve's bits.
+# ~0.5 us that formatting each output cell costs. tanh, asinh and sqrt
+# serve the zero-field Newton iteration, which must match solve's bits.
 MATH_EACH = SimpleNamespace(log1p=_each(math.log1p), atanh=_each(math.atanh),
-                            tanh=_each(math.tanh), acosh=_each(math.acosh),
+                            tanh=_each(math.tanh), asinh=_each(math.asinh),
                             sqrt=_each(math.sqrt))
 
 

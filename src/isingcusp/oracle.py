@@ -32,16 +32,21 @@ STEP = 1e-6
 # log j! comes from lgamma up to this j and from the Stirling series above,
 # where its first omitted term is below 1e-17.
 STIRLING_FROM = 32
+# The Stirling terms are formed this many at a time.
+BLOCK = 2 ** 16
 
 
 def _log_factorials(n: int) -> np.ndarray:
-    """log j! for j = 0..n."""
+    """log j! for j = 0..n, built in blocks of BLOCK to bound the temporaries."""
+    lf = np.empty(n + 1)
     small = min(n, STIRLING_FROM)
-    x = np.arange(small + 2.0, n + 2.0)  # j + 1 for j > small
-    r = 1.0 / (x * x)
-    tail = ((x - 0.5) * np.log(x) - x + 0.5 * math.log(2.0 * math.pi)
-            + (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / x)
-    return np.concatenate(([math.lgamma(j + 1.0) for j in range(small + 1)], tail))
+    lf[:small + 1] = [math.lgamma(j + 1.0) for j in range(small + 1)]
+    for lo in range(small + 1, n + 1, BLOCK):
+        x = np.arange(lo + 1.0, min(lo + BLOCK, n + 1) + 1.0)  # j + 1
+        r = 1.0 / (x * x)
+        lf[lo:lo + x.size] = ((x - 0.5) * np.log(x) - x + 0.5 * math.log(2.0 * math.pi)
+                              + (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / x)
+    return lf
 
 
 def log_partition_enum(m: float, c: ConjugateCoords, p: ModelParams) -> float:
@@ -65,12 +70,19 @@ def log_partition_binom(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     if p.n > BINOM_CAP:
         raise SizeError(f"binomial sum handles N <= {BINOM_CAP}, got N = {p.n}")
     lf = _log_factorials(p.n)
-    spin_sum = 2.0 * np.arange(p.n + 1, dtype=np.float64) - p.n
-    theta = c.beta * p.jz * m - c.xi
-    expo = (lf[p.n] - lf - lf[::-1]
-            - 0.5 * c.beta * p.n * p.jz * m * m + theta * spin_sum)
+    # log C(N, j) - beta N Jz m^2 / 2 + theta (2 j - N), formed in place in
+    # the order lf[N] - lf - lf[::-1] - ... + ..., so no full-size temporary
+    expo = lf[p.n] - lf
+    expo -= lf[::-1]
+    expo -= 0.5 * c.beta * p.n * p.jz * m * m
+    spin_sum = np.arange(p.n + 1, dtype=np.float64)
+    spin_sum *= 2.0
+    spin_sum -= p.n
+    spin_sum *= c.beta * p.jz * m - c.xi
+    expo += spin_sum
     mx = expo.max()
-    return float(mx + np.log(np.exp(expo - mx).sum()))
+    expo -= mx
+    return float(mx + np.log(np.exp(expo, out=expo).sum()))
 
 
 def log_partition_closed(m: float, c: ConjugateCoords, p: ModelParams) -> float:

@@ -1,13 +1,19 @@
 """Roots of the self-consistent equation m = tanh(beta Jz m - xi).
 
 f(m) = m - tanh(beta Jz m - xi) has f' = 1 - beta Jz sech^2(beta Jz m - xi),
-which vanishes only for beta Jz > 1, at m = (xi +- acosh(sqrt(beta Jz)))
+which vanishes only for beta Jz > 1, at m = (xi +- asinh(sqrt(beta Jz - 1)))
 / (beta Jz). Those two points split [-1, 1] into at most three monotone
-pieces with at most one root each; a piece whose end values differ in
-sign is polished by bisection. Roots on the outer, increasing pieces are
-stable fixed points and a root on the middle, decreasing piece is
-unstable. Among stable roots the equilibrium maximizes the grand Massieu
-function per site.
+pieces with at most one root each. A piece whose end values differ in
+sign is solved by Newton's method from the end where f f'' > 0, so the
+iterates approach the root from one side; f'' = 2 (beta Jz)^2 t (1 - t^2)
+with t = tanh(beta Jz m - xi) changes sign only at m = xi / (beta Jz).
+Below |beta Jz m - xi| = SEAM, f is evaluated as
+(m (1 - beta Jz) + xi) + (theta - tanh theta) with a series for the
+last term, which keeps f accurate where m and tanh cancel, so every root
+is as accurate as its conditioning allows. Roots on the outer,
+increasing pieces are stable fixed points and a root on the middle,
+decreasing piece is unstable. Among stable roots the equilibrium
+maximizes the grand Massieu function per site.
 """
 from __future__ import annotations
 
@@ -20,7 +26,9 @@ import numpy as np
 from .curve import MATH_EACH, _s_closed, s_of_m
 from .model import ConjugateCoords, DomainError, ModelParams, check_cells
 
-BISECT_TOL = 1e-14
+# Below |theta| = SEAM, theta - tanh(theta) is its series to theta^15, whose
+# next term is about 1e-17 of the sum at the seam.
+SEAM = 0.1
 # Stable roots whose Massieu values agree this closely count as degenerate.
 PSI_TIE = 1e-12
 
@@ -57,50 +65,92 @@ class RootSet:
         return self.roots[self.selected]
 
 
+def _defect(theta):
+    """theta - tanh(theta) for |theta| < SEAM, on floats or arrays."""
+    s = theta * theta
+    return theta * s * (1 / 3 - s * (2 / 15 - s * (17 / 315 - s * (62 / 2835 - s * (
+        1382 / 155925 - s * (21844 / 6081075 - s * (929569 / 638512875)))))))
+
+
 def _f(bjz: float, xi: float, m: float) -> float:
     """f(m) = m - tanh(beta Jz m - xi), zero exactly at the roots."""
-    return m - math.tanh(bjz * m - xi)
+    theta = bjz * m - xi
+    if -SEAM < theta < SEAM:
+        return (m * (1.0 - bjz) + xi) + _defect(theta)
+    return m - math.tanh(theta)
 
 
-def _bisect(bjz: float, xi: float, lo: float, hi: float) -> float:
-    # f is _f written out: a Python call per step was most of a solve's time
-    tanh, tol = math.tanh, BISECT_TOL
-    flo = lo - tanh(bjz * lo - xi)
-    if flo == 0.0:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = mid - tanh(bjz * mid - xi)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+def _newton(bjz: float, xi: float, m: float) -> float:
+    """The root of f on a monotone piece, from its end m where f f'' > 0.
+
+    Stops at f = 0 or once |step| stops shrinking: a strictly shrinking
+    sequence of doubles ends, and near the root the rounded f' can
+    overshoot, so the first sign change of f is not yet the root.
+    """
+    # f and f' are _f written out: a Python call per step was most of a
+    # solve's time. Below the seam f' = (1 - bjz) + bjz t^2, whose 1 - bjz
+    # is exact near bjz = 1; above it 1 - bjz (1 - t^2), which stays 1 where
+    # t rounds to 1 at huge bjz, where the first form cancels to 0.
+    tanh, omb, last = math.tanh, 1.0 - bjz, math.inf
+    try:
+        while True:
+            theta = bjz * m - xi
+            if -0.1 < theta < 0.1:  # SEAM
+                s = theta * theta
+                d = theta * s * (1 / 3 - s * (2 / 15 - s * (17 / 315 - s * (62 / 2835 - s * (
+                    1382 / 155925 - s * (21844 / 6081075 - s * (929569 / 638512875)))))))
+                f = (m * omb + xi) + d
+                t = theta - d
+                fp = omb + bjz * t * t
+            else:
+                t = tanh(theta)
+                f = m - t
+                fp = 1.0 - bjz * (1.0 - t * t)
+            if f == 0.0:
+                return m
+            step = f / fp
+            size = abs(step)
+            if not size < last:
+                return m
+            last = size
+            m -= step
+    except ZeroDivisionError:  # f' rounded to 0: m is as close as f' can tell
+        return m
 
 
-def _bisect_each(f, lo, hi):
-    """_bisect on arrays of brackets, each element taking the scalar steps."""
-    flo = f(lo)
-    hi = np.where(flo == 0.0, lo, hi)  # an exact root closes its bracket
-    while (live := hi - lo > BISECT_TOL).any():
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        exact, left = fmid == 0.0, flo * fmid < 0.0
-        hi = np.where(live & (exact | left), mid, hi)
-        lower = live & (exact | ~left)
-        lo = np.where(lower, mid, lo)
-        flo = np.where(lower, fmid, flo)
-    return 0.5 * (lo + hi)
+def _f_each(bjz, xi, m):
+    """f and f' on arrays, each element by the arithmetic of _f and _newton."""
+    theta = bjz * m - xi
+    small = np.abs(theta) < SEAM
+    d = _defect(theta)
+    t = MATH_EACH.tanh(theta)
+    f = np.where(small, (m * (1.0 - bjz) + xi) + d, m - t)
+    t = np.where(small, theta - d, t)
+    return f, np.where(small, (1.0 - bjz) + bjz * t * t, 1.0 - bjz * (1.0 - t * t))
+
+
+def _newton_each(bjz, xi, m):
+    """_newton on arrays, each element taking the scalar steps to its own stop."""
+    out = m.copy()
+    live, last = np.arange(m.size), np.full(m.size, np.inf)
+    while live.size:
+        f, fp = _f_each(bjz, xi, m)
+        step = f / fp
+        size = np.abs(step)
+        go = (f != 0.0) & (fp != 0.0) & (size < last)
+        out[live] = m
+        live, bjz, m, last = live[go], bjz[go], (m - step)[go], size[go]
+    return out
 
 
 def _turning_points(bjz, xi, lib=math):
-    """m-+ = (xi -+ acosh(sqrt(beta Jz))) / (beta Jz), where f' = 0 (beta Jz > 1).
+    """m-+ = (xi -+ asinh(sqrt(beta Jz - 1))) / (beta Jz), where f' = 0 (beta Jz > 1).
 
-    lib supplies acosh and sqrt: math for floats, MATH_EACH for arrays.
+    asinh(sqrt(b - 1)) = acosh(sqrt(b)), but b - 1 is exact near b = 1,
+    where sqrt(b) rounds to 1. lib supplies asinh and sqrt: math for
+    floats, MATH_EACH for arrays.
     """
-    a = lib.acosh(lib.sqrt(bjz))
+    a = lib.asinh(lib.sqrt(bjz - 1.0))
     return (xi - a) / bjz, (xi + a) / bjz
 
 
@@ -132,13 +182,28 @@ def solve(c: ConjugateCoords, p: ModelParams = ModelParams()) -> RootSet:
 
     roots = []
     for i in range(len(edges) - 1):
+        lo, hi = edges[i], edges[i + 1]
         flo, fhi = values[i], values[i + 1]
         if flo == 0.0:
-            m = edges[i]
+            m = lo
         elif fhi == 0.0:
-            m = edges[i + 1]
+            m = hi
         elif flo * fhi < 0.0:
-            m = _bisect(bjz, xi, edges[i], edges[i + 1])
+            # f'' has the sign of m - m_i, m_i = xi / (beta Jz): the outer
+            # pieces start at -1 (concave, f < 0) and 1 (convex, f > 0), the
+            # middle one at m_i, and a lone increasing piece at the end on
+            # the side of m_i where the root lies. beta Jz = 0 by underflow
+            # leaves f linear, where any start serves.
+            if middle >= 0 and i != middle:
+                m = lo if i == 0 else hi
+            else:
+                m = xi / bjz if bjz else 0.0
+                m = lo if m < lo else hi if m > hi else m
+                if middle < 0 and (fi := _f(bjz, xi, m)) != 0.0:
+                    m = 1.0 if fi < 0.0 else -1.0
+            m = _newton(bjz, xi, m)
+            # the root lies in its piece; rounding must not reorder the roots
+            m = lo if m < lo else hi if m > hi else m
         else:
             continue
         if not roots or roots[-1].m != m:
@@ -174,21 +239,18 @@ def zero_field_branch(beta_min: float, beta_max: float, n: int,
     check_cells(n)
     beta = np.linspace(beta_min, beta_max, n)
     m = np.zeros(n)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         bjz = beta * p.jz
-        ordered = (bjz > 1.0) & np.isfinite(bjz)
+        ordered = np.flatnonzero((bjz > 1.0) & np.isfinite(bjz))
         b = bjz[ordered]
-
-        def f(x):
-            return x - MATH_EACH.tanh(b * x)
-
-        # solve's brackets at xi = 0, where |m-+| < 0.45 needs no clamp. If
-        # f(m-) > f(m+) holds in floating point, the equilibrium is the
-        # root on the outer piece [m+, 1], whose f(m+) < 0 (f is odd);
-        # otherwise the one bracket [-1, 1] bisects to m = 0 at once.
+        # solve's pieces at xi = 0, where |m-+| < 0.45 needs no clamp. Where
+        # f(m-) > f(m+) holds in floating point, the equilibrium is the root
+        # on the outer piece [m+, 1], whose f(m+) < 0 (f is odd), by Newton
+        # from 1; elsewhere the one piece [-1, 1] has its root at m_i = 0.
         lo, hi = _turning_points(b, 0.0, MATH_EACH)
-        outer = np.where(f(1.0) == 0.0, 1.0, _bisect_each(f, hi, np.ones_like(hi)))
-        m[ordered] = np.where(f(lo) > f(hi), outer, 0.0)
+        pair = _f_each(b, 0.0, lo)[0] > _f_each(b, 0.0, hi)[0]
+        # Newton stops at once where f(1) = 0, as solve's exact end does
+        m[ordered[pair]] = np.clip(_newton_each(b[pair], 0.0, np.ones(pair.sum())), hi[pair], 1.0)
         bad = np.flatnonzero(np.isinf(bjz) | (m == 1.0))
         if bad.size:
             # the first row the scalar path rejects raises its error: beta Jz

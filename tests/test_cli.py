@@ -253,11 +253,13 @@ def test_console_script_entry_point():
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["solve", "--beta", "1.2"], ["verify", "--n", "4"],
-                                  ["curve", "--samples", "20001"]],
-                         ids=["solve", "verify", "curve-20001-rows"])
+                                  ["curve", "--samples", "20001"], ["--help"],
+                                  ["solve", "--help"]],
+                         ids=["solve", "verify", "curve-20001-rows", "help", "solve-help"])
 def test_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
     # buffered, a small output meets the closed pipe only when stdout is
-    # flushed; unbuffered, or past the buffer's size, the write itself fails
+    # flushed; unbuffered, or past the buffer's size, the write itself fails.
+    # argparse prints --help before main runs, and drops a failed write
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -328,6 +330,9 @@ def cli_argv(draw):
 @example(["curve", "--output=" + os.path.join(os.devnull, "x")])
 @example(["solve", "--beta=1e308"])
 @example(["surface", "--m-max=1e308", "--samples=3"])
+@example(["solve", "--jz=1e-300", "--beta=2.7810902513981813e-242"])  # beta Jz underflows to 0
+@example(["zero-field", "--beta-max=1e308"])
+@example(["solve", "--jz=30714922045", "--beta=236873352279", "--xi=7.081226079067747e16"])
 def test_fuzz_main_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     # stderr carries one error: line at most, never a numpy RuntimeWarning

@@ -11,7 +11,7 @@ from isingcusp import (ConjugateCoords, ModelParams, SizeError, beta_of_m,
                        check_entropy_offset, evaluate, log_partition,
                        log_partition_binom, log_partition_closed,
                        log_partition_enum, s_of_m, xi_of_m)
-from isingcusp.oracle import BINOM_CAP, ENUM_CAP
+from isingcusp.oracle import BINOM_CAP, BLOCK, ENUM_CAP, STIRLING_FROM
 
 LOG2 = math.log(2.0)
 
@@ -76,6 +76,35 @@ def test_binom_large_n_matches_closed_form():
             lb = log_partition_binom(m, c, p)
             lc = log_partition_closed(m, c, p)
             assert lb == pytest.approx(lc, rel=1e-11)
+
+
+def binom_one_expression(m, c, p):
+    """The binomial sum as one expression over one whole table, the form the
+    in-place blocks must reproduce bit for bit."""
+    small = min(p.n, STIRLING_FROM)
+    x = np.arange(small + 2.0, p.n + 2.0)
+    r = 1.0 / (x * x)
+    tail = ((x - 0.5) * np.log(x) - x + 0.5 * math.log(2.0 * math.pi)
+            + (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / x)
+    lf = np.concatenate(([math.lgamma(j + 1.0) for j in range(small + 1)], tail))
+    spin_sum = 2.0 * np.arange(p.n + 1, dtype=np.float64) - p.n
+    theta = c.beta * p.jz * m - c.xi
+    expo = (lf[p.n] - lf - lf[::-1]
+            - 0.5 * c.beta * p.n * p.jz * m * m + theta * spin_sum)
+    mx = expo.max()
+    return float(mx + np.log(np.exp(expo - mx).sum()))
+
+
+@pytest.mark.parametrize("n", [1, 5, STIRLING_FROM - 1, STIRLING_FROM, STIRLING_FROM + 1,
+                               STIRLING_FROM + 2, STIRLING_FROM + BLOCK,
+                               STIRLING_FROM + BLOCK + 1, STIRLING_FROM + BLOCK + 2,
+                               BINOM_CAP])
+def test_binom_blocks_equal_one_expression(n):
+    # the first Stirling block ends at j = STIRLING_FROM + BLOCK, so
+    # 65569 and 65570 put one and two entries in a second block
+    p = ModelParams(n=n)
+    for m, c in [(0.3, ConjugateCoords(1.3, 0.1)), (-0.7, ConjugateCoords(0.4, -0.9))]:
+        assert log_partition_binom(m, c, p).hex() == binom_one_expression(m, c, p).hex()
 
 
 def test_import_leaves_scipy_out():

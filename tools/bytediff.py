@@ -3,10 +3,9 @@
     python3 tools/bytediff.py REV [ARGV ...]
 
 Runs the README command set (each data command in CSV and in JSON), the
-`solve` lines of SOLVE_COMMANDS, the scripts in demos/ and each extra
-ARGV, one quoted command line such as "surface --samples 301" (@FILE
-reads one command line per line). Each
-runs in this process, through `isingcusp.cli.main` or as a script: once
+`solve` and `zero-field` lines of ROOT_COMMANDS, the scripts in demos/
+and each extra ARGV, one quoted command line such as "surface --samples
+301" (@FILE reads one command line per line). Each runs in this process, through `isingcusp.cli.main` or as a script: once
 with REV's src/ and demos/, extracted by `git archive` into a temporary
 directory, and once with the working tree's.
 
@@ -41,14 +40,19 @@ from itertools import zip_longest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # the subcommands that take --format
 DATA_COMMANDS = {"curve", "surface", "solve", "exponents", "zero-field"}
-# one `solve` per branch of the root finder; CSV's %.17g shows every bit of m and psi
-SOLVE_COMMANDS = [
+# one command per branch of the root finder; CSV's %.17g shows every bit of m and psi
+ROOT_COMMANDS = [
     "solve --beta 0.5",                                        # one root
     "solve --beta 1.2 --xi 0.05",                              # three roots
     "solve --beta 1.966230595308388 --xi -0.508743070524412",  # two close roots
     "solve --beta 1.0000000001",                               # beta Jz = 1 + 1e-10
     "solve --beta 3 --xi 2.9",                                 # m+ clamped to 1
     "solve --jz 2.5 --beta 0.6 --xi -0.2",                     # three roots at Jz = 2.5
+    "solve --beta 0.5 --xi 2",                                 # inflection beyond m = 1
+    "solve --beta 1.5 --xi 1e-12",                             # a tiny middle root
+    "solve --beta 1.0000000000000002",                         # beta Jz = 1 + eps
+    "solve --beta 1 --xi 1",                                   # beta Jz = 1, one root
+    "zero-field --beta-min 0.999999 --beta-max 1.000001 --samples 201",  # the threshold
 ]
 
 
@@ -143,7 +147,7 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="git revision to compare the working tree with")
     parser.add_argument("argv", nargs="*", help="extra command line, one per argument")
     args = parser.parse_args(argv)
-    argvs = readme_commands() + [shlex.split(line) for line in SOLVE_COMMANDS + args.argv
+    argvs = readme_commands() + [shlex.split(line) for line in ROOT_COMMANDS + args.argv
                                  if line.strip()]
     archive = subprocess.run(["git", "archive", "--format=tar", args.rev, "src", "demos"],
                              cwd=ROOT, capture_output=True)
