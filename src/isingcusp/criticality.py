@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import M_SWITCH, MATH_EACH, _beta_xi, _bjz_excess, beta_of_m
+from .curve import M_SWITCH, MATH_EACH, _beta_xi, _bjz_excess, _finite, beta_of_m
 from .model import DomainError, ModelParams, check_cells
 
 # Specific-heat flatness threshold for the alpha = 0 flag.
@@ -78,10 +78,7 @@ def susceptibility(m: float, p: ModelParams) -> float:
     overflows, which is a DomainError.
     """
     _check_nonzero_m(m)
-    chi = _chi(beta_of_m(m, p), m, _denominator(m))
-    if math.isinf(chi):
-        raise DomainError(f"susceptibility overflows at m = {m}")
-    return chi
+    return _finite(_chi(beta_of_m(m, p), m, _denominator(m)), "susceptibility", m)
 
 
 def specific_heat(m: float, p: ModelParams) -> float:
@@ -93,7 +90,7 @@ def specific_heat(m: float, p: ModelParams) -> float:
     0 < |m| < 1. Even in m.
     """
     _check_nonzero_m(m)
-    return _heat(beta_of_m(m, p) * p.jz, m, _denominator(m), p)
+    return _finite(_heat(beta_of_m(m, p) * p.jz, m, _denominator(m), p), "specific heat", m)
 
 
 def _t_series(m, bjz):
@@ -128,7 +125,7 @@ def jacobian_norm(m: float, p: ModelParams) -> float:
     _check_nonzero_m(m)
     dbeta = 2.0 * m * _denominator(m) / (p.jz * (1.0 - m * m))
     dxi = 0.5 * p.jz * m * dbeta
-    return math.hypot(dbeta, dxi)
+    return _finite(math.hypot(dbeta, dxi), "jacobian norm", m)
 
 
 @dataclass(frozen=True)

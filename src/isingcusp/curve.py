@@ -44,16 +44,20 @@ def _each(f):
 # numpy's log1p and arctanh differ from math's by 1-3 ulps on many inputs,
 # and the cancellation in xi near the seam magnifies that ~1e4 times. Per
 # element math costs ~0.1 us against numpy's ~5 ns, small beside the
-# ~0.5 us that formatting each output cell costs. tanh, asinh and sqrt
-# serve the zero-field Newton iteration, which must match solve's bits.
-MATH_EACH = SimpleNamespace(log1p=_each(math.log1p), atanh=_each(math.atanh),
-                            tanh=_each(math.tanh), asinh=_each(math.asinh),
-                            sqrt=_each(math.sqrt))
+# ~0.5 us that formatting each output cell costs.
+MATH_EACH = SimpleNamespace(log1p=_each(math.log1p), atanh=_each(math.atanh))
 
 
 def _check_m(m: float) -> None:
     if not -1.0 < m < 1.0:
         raise DomainError(f"order parameter must satisfy |m| < 1, got {m}")
+
+
+def _finite(x: float, name: str, m: float) -> float:
+    """x, the scalar quantity name at m, unless it overflowed."""
+    if not math.isfinite(x):
+        raise DomainError(f"{name} overflows at m = {m}")
+    return x
 
 
 def _bjz_excess(y):
@@ -73,8 +77,8 @@ def beta_of_m(m: float, p: ModelParams) -> float:
     """Inverse temperature along the curve; even in m, minimum 1/Jz at m=0."""
     _check_m(m)
     if abs(m) < M_SWITCH:
-        return _beta_series(m, p)
-    return _beta_closed(m, p)
+        return _finite(_beta_series(m, p), "beta", m)
+    return _finite(_beta_closed(m, p), "beta", m)
 
 
 def _xi_series(m):
@@ -184,11 +188,9 @@ def curve_point(m: float, p: ModelParams) -> CurveSample:
     t, h = to_field_coords(ConjugateCoords(beta=beta, xi=xi), p)
     # susceptibility and specific_heat at this m, sharing beta and D/y^2
     d = _denominator(m)
-    chi = _chi(beta, m, d)
-    if math.isinf(chi):
-        raise DomainError(f"susceptibility overflows at m = {m}")
-    return CurveSample(m=m, beta=beta, xi=xi, t=t, h=h,
-                       u=u_of_m(m, p), s=s_of_m(m, p), chi=chi, c=_heat(beta * p.jz, m, d, p))
+    return CurveSample(m=m, beta=beta, xi=xi, t=t, h=h, u=u_of_m(m, p), s=s_of_m(m, p),
+                       chi=_finite(_chi(beta, m, d), "susceptibility", m),
+                       c=_finite(_heat(beta * p.jz, m, d, p), "specific heat", m))
 
 
 def sample_curve(m_min: float, m_max: float, n_samples: int,

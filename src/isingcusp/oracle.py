@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import _check_m, beta_of_m, s_of_m, xi_of_m
-from .model import ConjugateCoords, ModelParams, SizeError
+from .model import ConjugateCoords, DomainError, ModelParams, SizeError
 from .selfconsistent import massieu_per_site
 
 ENUM_CAP = 20
@@ -49,6 +49,14 @@ def _log_factorials(n: int) -> np.ndarray:
     return lf
 
 
+def _finite(x: float, name: str, m: float, c: ConjugateCoords, p: ModelParams) -> float:
+    """x, the quantity name at (m, c, p), unless it left the finite doubles."""
+    if not math.isfinite(x):
+        raise DomainError(f"{name} is not a finite double at m = {m}, beta = {c.beta}, "
+                          f"xi = {c.xi}, Jz = {p.jz}, k = {p.k}")
+    return x
+
+
 def log_partition_enum(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     """log Xi by summing all 2^N configurations in log space."""
     _check_m(m)
@@ -57,11 +65,12 @@ def log_partition_enum(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     # configuration i has total spin 2 popcount(i) - N; it is formed in
     # float64 because the uint8 popcount would wrap, then reused in place
     expo = 2.0 * np.bitwise_count(np.arange(2 ** p.n, dtype=np.uint32)) - p.n
-    expo *= c.beta * p.jz * m - c.xi
-    expo += -0.5 * c.beta * p.n * p.jz * m * m
-    mx = expo.max()
-    expo -= mx
-    return float(mx + np.log(np.exp(expo, out=expo).sum()))
+    with np.errstate(all="ignore"):
+        expo *= c.beta * p.jz * m - c.xi
+        expo += -0.5 * c.beta * p.n * p.jz * m * m
+        mx = expo.max()
+        expo -= mx
+        return _finite(float(mx + np.log(np.exp(expo, out=expo).sum())), "log Xi", m, c, p)
 
 
 def log_partition_binom(m: float, c: ConjugateCoords, p: ModelParams) -> float:
@@ -74,15 +83,16 @@ def log_partition_binom(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     # the order lf[N] - lf - lf[::-1] - ... + ..., so no full-size temporary
     expo = lf[p.n] - lf
     expo -= lf[::-1]
-    expo -= 0.5 * c.beta * p.n * p.jz * m * m
-    spin_sum = np.arange(p.n + 1, dtype=np.float64)
-    spin_sum *= 2.0
-    spin_sum -= p.n
-    spin_sum *= c.beta * p.jz * m - c.xi
-    expo += spin_sum
-    mx = expo.max()
-    expo -= mx
-    return float(mx + np.log(np.exp(expo, out=expo).sum()))
+    with np.errstate(all="ignore"):
+        expo -= 0.5 * c.beta * p.n * p.jz * m * m
+        spin_sum = np.arange(p.n + 1, dtype=np.float64)
+        spin_sum *= 2.0
+        spin_sum -= p.n
+        spin_sum *= c.beta * p.jz * m - c.xi
+        expo += spin_sum
+        mx = expo.max()
+        expo -= mx
+        return _finite(float(mx + np.log(np.exp(expo, out=expo).sum())), "log Xi", m, c, p)
 
 
 def log_partition_closed(m: float, c: ConjugateCoords, p: ModelParams) -> float:
@@ -92,7 +102,7 @@ def log_partition_closed(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     the cross-check for both summation methods.
     """
     _check_m(m)
-    return p.n * massieu_per_site(m, c, p)
+    return _finite(p.n * massieu_per_site(m, c, p), "log Xi", m, c, p)
 
 
 def log_partition(m: float, c: ConjugateCoords, p: ModelParams,
@@ -131,7 +141,9 @@ def evaluate(m: float, c: ConjugateCoords, p: ModelParams,
         lambda xi: log_partition(m, ConjugateCoords(beta=c.beta, xi=xi), p, method), c.xi)
     u_numeric = -_central(
         lambda beta: log_partition(m, ConjugateCoords(beta=beta, xi=c.xi), p, method), c.beta)
-    s1 = p.k * lx + p.k * c.beta * u_numeric + p.k * c.xi * m_numeric
+    # lx is finite, so a finite s1 has finite moments
+    s1 = _finite(p.k * lx + p.k * c.beta * u_numeric + p.k * c.xi * m_numeric,
+                 "S_entropy1", m, c, p)
     return OracleResult(log_xi=lx, m_numeric=m_numeric, u_numeric=u_numeric, s_entropy1=s1)
 
 

@@ -13,7 +13,8 @@ last term, which keeps f accurate where m and tanh cancel, so every root
 is as accurate as its conditioning allows. Roots on the outer,
 increasing pieces are stable fixed points and a root on the middle,
 decreasing piece is unstable. Among stable roots the equilibrium
-maximizes the grand Massieu function per site.
+maximizes the grand Massieu function per site. The zero-field branch is
+that equilibrium at xi = 0, taken from solve one beta at a time.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .curve import MATH_EACH, _s_closed, s_of_m
+from .curve import s_of_m
 from .model import ConjugateCoords, DomainError, ModelParams, check_cells
 
 # Below |theta| = SEAM, theta - tanh(theta) is its series to theta^15, whose
@@ -118,39 +119,13 @@ def _newton(bjz: float, xi: float, m: float) -> float:
         return m
 
 
-def _f_each(bjz, xi, m):
-    """f and f' on arrays, each element by the arithmetic of _f and _newton."""
-    theta = bjz * m - xi
-    small = np.abs(theta) < SEAM
-    d = _defect(theta)
-    t = MATH_EACH.tanh(theta)
-    f = np.where(small, (m * (1.0 - bjz) + xi) + d, m - t)
-    t = np.where(small, theta - d, t)
-    return f, np.where(small, (1.0 - bjz) + bjz * t * t, 1.0 - bjz * (1.0 - t * t))
-
-
-def _newton_each(bjz, xi, m):
-    """_newton on arrays, each element taking the scalar steps to its own stop."""
-    out = m.copy()
-    live, last = np.arange(m.size), np.full(m.size, np.inf)
-    while live.size:
-        f, fp = _f_each(bjz, xi, m)
-        step = f / fp
-        size = np.abs(step)
-        go = (f != 0.0) & (fp != 0.0) & (size < last)
-        out[live] = m
-        live, bjz, m, last = live[go], bjz[go], (m - step)[go], size[go]
-    return out
-
-
-def _turning_points(bjz, xi, lib=math):
+def _turning_points(bjz: float, xi: float):
     """m-+ = (xi -+ asinh(sqrt(beta Jz - 1))) / (beta Jz), where f' = 0 (beta Jz > 1).
 
     asinh(sqrt(b - 1)) = acosh(sqrt(b)), but b - 1 is exact near b = 1,
-    where sqrt(b) rounds to 1. lib supplies asinh and sqrt: math for
-    floats, MATH_EACH for arrays.
+    where sqrt(b) rounds to 1.
     """
-    a = lib.asinh(lib.sqrt(bjz - 1.0))
+    a = math.asinh(math.sqrt(bjz - 1.0))
     return (xi - a) / bjz, (xi + a) / bjz
 
 
@@ -222,9 +197,9 @@ def zero_field_branch(beta_min: float, beta_max: float, n: int,
                       p: ModelParams = ModelParams()) -> SimpleNamespace:
     """The h=0 solution family over a beta grid, as float64 columns.
 
-    Returns a namespace of the columns beta, m, s and lam. Below the
-    threshold beta*Jz = 1 the only root is m=0 with S=0; above it m is
-    the equilibrium that solve selects at xi = 0, bit for bit, and
+    Returns a namespace of the columns beta, m, s and lam: m is solve's
+    equilibrium at xi = 0 for each beta and s is s_of_m(m). Below the
+    threshold beta*Jz = 1 the only root is m=0 with S=0; above it
     lambda = k*beta exceeds k/Jz.
     """
     if beta_min <= 0 or beta_max <= 0:
@@ -238,23 +213,10 @@ def zero_field_branch(beta_min: float, beta_max: float, n: int,
         raise DomainError(f"k beta_max = {p.k * beta_max} is not a finite double")
     check_cells(n)
     beta = np.linspace(beta_min, beta_max, n)
-    m = np.zeros(n)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        bjz = beta * p.jz
-        ordered = np.flatnonzero((bjz > 1.0) & np.isfinite(bjz))
-        b = bjz[ordered]
-        # solve's pieces at xi = 0, where |m-+| < 0.45 needs no clamp. Where
-        # f(m-) > f(m+) holds in floating point, the equilibrium is the root
-        # on the outer piece [m+, 1], whose f(m+) < 0 (f is odd), by Newton
-        # from 1; elsewhere the one piece [-1, 1] has its root at m_i = 0.
-        lo, hi = _turning_points(b, 0.0, MATH_EACH)
-        pair = _f_each(b, 0.0, lo)[0] > _f_each(b, 0.0, hi)[0]
-        # Newton stops at once where f(1) = 0, as solve's exact end does
-        m[ordered[pair]] = np.clip(_newton_each(b[pair], 0.0, np.ones(pair.sum())), hi[pair], 1.0)
-        bad = np.flatnonzero(np.isinf(bjz) | (m == 1.0))
-        if bad.size:
-            # the first row the scalar path rejects raises its error: beta Jz
-            # overflowing in solve, or m rounding to 1 in s_of_m
-            s_of_m(solve(ConjugateCoords(beta=float(beta[bad[0]]), xi=0.0), p).equilibrium.m, p)
-        s = np.where(m == 0.0, 0.0, _s_closed(m, p, MATH_EACH))
+    m, s = np.empty(n), np.empty(n)
+    # row by row, so the first row that solve or s_of_m rejects raises its
+    # error: beta Jz overflowing, or m rounding to 1
+    for i, b in enumerate(beta.tolist()):
+        x = solve(ConjugateCoords(beta=b, xi=0.0), p).equilibrium.m
+        m[i], s[i] = x, s_of_m(x, p)
     return SimpleNamespace(beta=beta, m=m, s=s, lam=p.k * beta)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from isingcusp import (DomainError, ModelParams, beta_of_m, fit_exponents,
+from isingcusp import (DomainError, ModelParams, beta_of_m, curve_point, fit_exponents,
                        jacobian_norm, reduced_temperature, specific_heat,
                        susceptibility)
 
@@ -177,6 +177,24 @@ def test_jacobian_norm_matches_decimal(jz):
         ref = jacobian_decimal(float(m), jz)
         assert jacobian_norm(float(m), p) == pytest.approx(ref, rel=1e-12)
         assert jacobian_norm(-float(m), p) == jacobian_norm(float(m), p)
+
+
+M_EDGE = 0.9999999999999999   # the largest double below 1
+
+
+@pytest.mark.parametrize("f, m, p, match", [
+    (beta_of_m, M_EDGE, ModelParams(jz=1.2354609171652692e-307), "beta overflows"),
+    (reduced_temperature, M_EDGE, ModelParams(jz=1.2354609171652692e-307), "beta overflows"),
+    (jacobian_norm, -M_EDGE, ModelParams(jz=1e-300), "jacobian norm overflows"),
+    (specific_heat, -M_EDGE, ModelParams(jz=2.655706269555544e168, k=1e308),
+     "specific heat overflows"),
+    (curve_point, -M_EDGE, ModelParams(jz=2.655706269555544e168, k=1e308),
+     "specific heat overflows"),
+], ids=["beta_of_m", "reduced_temperature", "jacobian_norm", "specific_heat", "curve_point"])
+def test_overflow_is_a_domain_error(f, m, p, match):
+    # |m| < 1, yet the result exceeds the largest double at these Jz and k
+    with pytest.raises(DomainError, match=match):
+        f(m, p)
 
 
 def test_fit_exponents_window():

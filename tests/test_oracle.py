@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from isingcusp import (ConjugateCoords, ModelParams, SizeError, beta_of_m,
+from isingcusp import (ConjugateCoords, DomainError, ModelParams, SizeError, beta_of_m,
                        check_entropy_offset, evaluate, log_partition,
                        log_partition_binom, log_partition_closed,
                        log_partition_enum, s_of_m, xi_of_m)
@@ -121,6 +121,23 @@ def test_size_caps():
     with pytest.raises(SizeError):
         log_partition_binom(0.5, ConjugateCoords(1.0, 0.0),
                             ModelParams(n=10**6 + 1))
+
+
+HOT = (0.5, ConjugateCoords(1e308, 0.0), ModelParams(jz=1.0))
+
+
+@pytest.mark.parametrize("f, args", [
+    (log_partition_enum, HOT),    # theta (2 j - N) overflows to +-inf in the sum
+    (log_partition_binom, HOT),
+    (evaluate, HOT),
+    (log_partition_closed, (0.9999999999999999, ConjugateCoords(1e308, 1.0000000000000002),
+                            ModelParams(jz=1.4618835382270908e243))),  # -inf + inf
+    (evaluate, (0.5, ConjugateCoords(1.0, 0.0), ModelParams(k=1e308))),  # k log Xi overflows
+], ids=["enum", "binom", "evaluate", "closed", "evaluate-k"])
+def test_non_finite_sums_are_domain_errors(f, args):
+    # a DomainError, not nan or inf, and no numpy RuntimeWarning on the way
+    with pytest.raises(DomainError, match="not a finite double"):
+        f(*args)
 
 
 def test_binomial_sum_is_the_default_route():

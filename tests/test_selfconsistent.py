@@ -380,13 +380,16 @@ def test_zero_field_branch_is_monotone():
 @pytest.mark.parametrize("lo, hi, n", [(0.5, 2.0, 301), (0.999999, 1.000001, 201),
                                        (0.9, 18.5, 400), (1.0, 1.0 + 4 * EPS, 5)])
 def test_zero_field_columns_equal_solve(jz, lo, hi, n):
-    # the column Newton iteration takes solve's steps, so m is bit-equal to
-    # the selected root at every beta, the near-threshold rows included: at
-    # beta Jz = 1 + eps too, where the positive root is about sqrt(3 eps)
+    # every row is solve's selected root at xi = 0, bit for bit, with
+    # s_of_m of it: below the threshold, where solve's one root is m = 0,
+    # and at beta Jz = 1 + eps too, where the positive root is about
+    # sqrt(3 eps)
     p = ModelParams(jz=jz, k=0.7)
     z = zero_field_branch(lo / jz, hi / jz, n, p)
     for beta, m, s in zip(z.beta.tolist(), z.m.tolist(), z.s.tolist()):
-        expected = solve(ConjugateCoords(beta, 0.0), p).equilibrium.m if beta * jz > 1.0 else 0.0
+        expected = solve(ConjugateCoords(beta, 0.0), p).equilibrium.m
+        if beta * jz <= 1.0:
+            assert expected.hex() == (0.0).hex()
         assert m.hex() == expected.hex()
         assert s.hex() == s_of_m(m, p).hex()
 
@@ -398,3 +401,7 @@ def test_zero_field_rejects_m_rounding_to_one():
         zero_field_branch(0.5, 40.0, 5, P)
     with pytest.raises(DomainError, match="overflows"):
         zero_field_branch(0.5, 1e308, 2, ModelParams(jz=10.0))
+    # the first row rounds m to 1 and the last overflows beta Jz: the
+    # first rejected row raises
+    with pytest.raises(DomainError, match=r"\|m\| < 1"):
+        zero_field_branch(4.0, 1e308, 3, ModelParams(jz=10.0))

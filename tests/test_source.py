@@ -13,3 +13,30 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"assert statements in {path.name} at lines {lines}"
+
+
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return node
+
+
+def _assigned(func: ast.FunctionDef, name: str) -> str:
+    (value,) = [n.value for n in ast.walk(func) if isinstance(n, ast.Assign)
+                and [ast.dump(t) for t in n.targets] == [ast.dump(ast.Name(name, ast.Store()))]]
+    return ast.dump(value)
+
+
+def test_newton_residual_is_defect():
+    # _newton writes _defect's series and the SEAM bounds out inline, for
+    # speed; the copies must not drift apart
+    from isingcusp.selfconsistent import SEAM
+
+    tree = ast.parse((SRC / "selfconsistent.py").read_text(encoding="utf-8"))
+    defect, newton = _function(tree, "_defect"), _function(tree, "_newton")
+    (ret,) = [n for n in defect.body if isinstance(n, ast.Return)]
+    assert _assigned(newton, "s") == _assigned(defect, "s")
+    assert _assigned(newton, "d") == ast.dump(ret.value)
+    (seam,) = [n for n in ast.walk(newton) if isinstance(n, ast.Compare)
+               and ast.dump(n.comparators[0]) == ast.dump(ast.Name("theta", ast.Load()))]
+    assert [type(op) for op in seam.ops] == [ast.Lt, ast.Lt]
+    assert (ast.literal_eval(seam.left), ast.literal_eval(seam.comparators[1])) == (-SEAM, SEAM)

@@ -53,6 +53,11 @@ ROOT_COMMANDS = [
     "solve --beta 1.0000000000000002",                         # beta Jz = 1 + eps
     "solve --beta 1 --xi 1",                                   # beta Jz = 1, one root
     "zero-field --beta-min 0.999999 --beta-max 1.000001 --samples 201",  # the threshold
+    "zero-field --jz 0.37 --beta-min 0.5 --beta-max 50 --samples 3001",  # beta Jz up to 18.5
+    "zero-field --jz 1e-300 --beta-min 1e299 --beta-max 1e301 --samples 50",  # tiny Jz
+    "zero-field --k 1e300 --beta-min 0.5 --beta-max 3 --samples 11",     # huge k
+    "zero-field --beta-min 0.5 --beta-max 40 --samples 5",               # m rounds to 1
+    "zero-field --jz 10 --beta-min 0.5 --beta-max 1e308 --samples 2",    # beta Jz overflows
 ]
 
 
