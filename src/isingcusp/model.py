@@ -8,7 +8,7 @@ related to the magnetic field by xi = beta*h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 class DomainError(ValueError):
@@ -30,11 +30,11 @@ def check_cells(count: int) -> None:
         raise SizeError(f"{count} cells exceed the table cap of {MAX_CELLS}")
 
 
-def _check_finite(obj) -> None:
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+def _check_finite(obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"{f.name} must be finite, got {value}")
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class ModelParams:
     n: int = 12
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_finite(self, ("jz", "k", "n"))
         # beta = 1/Jz at the critical point must be a finite double
         if self.jz <= 0 or math.isinf(1.0 / self.jz):
             raise DomainError(f"coupling Jz must be positive with a finite 1/Jz, got {self.jz}")
@@ -72,7 +72,7 @@ class ConjugateCoords:
     xi: float = 0.0
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_finite(self, ("beta", "xi"))
 
 
 def field_coords(beta, xi, p: ModelParams):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .curve import _check_m, beta_of_m, s_of_m, xi_of_m
 from .model import ConjugateCoords, DomainError, ModelParams, SizeError
-from .selfconsistent import massieu_per_site
+from .selfconsistent import _massieu
 
 ENUM_CAP = 20
 BINOM_CAP = 10 ** 6
@@ -78,18 +78,28 @@ def log_partition_binom(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     _check_m(m)
     if p.n > BINOM_CAP:
         raise SizeError(f"binomial sum handles N <= {BINOM_CAP}, got N = {p.n}")
-    lf = _log_factorials(p.n)
-    # log C(N, j) - beta N Jz m^2 / 2 + theta (2 j - N), formed in place in
-    # the order lf[N] - lf - lf[::-1] - ... + ..., so no full-size temporary
-    expo = lf[p.n] - lf
-    expo -= lf[::-1]
+    n = p.n
+    # log C(N, j) - beta N Jz m^2 / 2 + theta (2 j - N), formed in the one
+    # table in the order (lf[N] - lf[j]) - lf[N - j] - ... + ...: log C is
+    # folded in place a block of j and its mirror block of N - j at a time,
+    # from copies of both taken before either is written
+    expo = _log_factorials(n)
+    lfn = expo[n]
+    for lo in range(0, n // 2 + 1, BLOCK):
+        hi = min(lo + BLOCK, n // 2 + 1)
+        head = expo[lo:hi].copy()
+        tail = expo[n - hi + 1:n - lo + 1][::-1].copy()
+        expo[lo:hi] = lfn - head - tail
+        expo[n - hi + 1:n - lo + 1] = (lfn - tail - head)[::-1]
     with np.errstate(all="ignore"):
-        expo -= 0.5 * c.beta * p.n * p.jz * m * m
-        spin_sum = np.arange(p.n + 1, dtype=np.float64)
-        spin_sum *= 2.0
-        spin_sum -= p.n
-        spin_sum *= c.beta * p.jz * m - c.xi
-        expo += spin_sum
+        expo -= 0.5 * c.beta * n * p.jz * m * m
+        theta = c.beta * p.jz * m - c.xi
+        for lo in range(0, n + 1, BLOCK):
+            spin = np.arange(lo, min(lo + BLOCK, n + 1), dtype=np.float64)
+            spin *= 2.0
+            spin -= n
+            spin *= theta
+            expo[lo:lo + spin.size] += spin
         mx = expo.max()
         expo -= mx
         return _finite(float(mx + np.log(np.exp(expo, out=expo).sum())), "log Xi", m, c, p)
@@ -102,7 +112,7 @@ def log_partition_closed(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     the cross-check for both summation methods.
     """
     _check_m(m)
-    return _finite(p.n * massieu_per_site(m, c, p), "log Xi", m, c, p)
+    return _finite(p.n * _massieu(m, c, p), "log Xi", m, c, p)
 
 
 def log_partition(m: float, c: ConjugateCoords, p: ModelParams,

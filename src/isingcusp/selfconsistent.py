@@ -41,10 +41,29 @@ def _log2cosh(x: float) -> float:
     return ax + math.log1p(math.exp(-2.0 * ax))
 
 
-def massieu_per_site(m: float, c: ConjugateCoords, p: ModelParams) -> float:
-    """Grand Massieu function over kN at magnetization parameter m."""
+def _massieu(m: float, c: ConjugateCoords, p: ModelParams) -> float:
+    # unchecked: solve passes its roots in [-1, 1], and log_partition_closed
+    # checks m and its own result
     theta = c.beta * p.jz * m - c.xi
     return -0.5 * c.beta * p.jz * m * m + _log2cosh(theta)
+
+
+def massieu_per_site(m: float, c: ConjugateCoords, p: ModelParams) -> float:
+    """Grand Massieu function over kN at magnetization parameter m.
+
+    Defined for beta >= 0 (beta = 0 is the infinite-temperature limit)
+    and |m| <= 1 (solve can return a root at m = +-1); a result that is
+    not a finite double is a DomainError.
+    """
+    if c.beta < 0.0:
+        raise DomainError(f"massieu_per_site needs beta >= 0, got {c.beta}")
+    if not -1.0 <= m <= 1.0:
+        raise DomainError(f"massieu_per_site needs |m| <= 1, got {m}")
+    psi = _massieu(m, c, p)
+    if not math.isfinite(psi):
+        raise DomainError(f"Massieu function is not a finite double at m = {m}, "
+                          f"beta = {c.beta}, xi = {c.xi}, Jz = {p.jz}, k = {p.k}")
+    return psi
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +201,7 @@ def solve(c: ConjugateCoords, p: ModelParams = ModelParams()) -> RootSet:
         else:
             continue
         if not roots or roots[-1].m != m:
-            roots.append(Root(m, i != middle, massieu_per_site(m, c, p)))
+            roots.append(Root(m, i != middle, _massieu(m, c, p)))
 
     # roots ascend in m, so the last tied index breaks the symmetric tie at
     # xi=0 toward positive m

@@ -3,6 +3,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,16 +96,35 @@ def binom_one_expression(m, c, p):
     return float(mx + np.log(np.exp(expo - mx).sum()))
 
 
-@pytest.mark.parametrize("n", [1, 5, STIRLING_FROM - 1, STIRLING_FROM, STIRLING_FROM + 1,
-                               STIRLING_FROM + 2, STIRLING_FROM + BLOCK,
+@pytest.mark.parametrize("n", [1, 2, 3, 5, STIRLING_FROM - 1, STIRLING_FROM, STIRLING_FROM + 1,
+                               STIRLING_FROM + 2, BLOCK - 1, BLOCK, STIRLING_FROM + BLOCK,
                                STIRLING_FROM + BLOCK + 1, STIRLING_FROM + BLOCK + 2,
-                               BINOM_CAP])
+                               2 * BLOCK - 2, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1,
+                               BINOM_CAP - 1, BINOM_CAP])
 def test_binom_blocks_equal_one_expression(n):
     # the first Stirling block ends at j = STIRLING_FROM + BLOCK, so
-    # 65569 and 65570 put one and two entries in a second block
+    # 65569 and 65570 put one and two entries in a second block. The fold of
+    # log C runs over j = 0..N // 2 in blocks of BLOCK: 2 BLOCK - 2 and
+    # 2 BLOCK - 1 fill one block, 2 BLOCK and 2 BLOCK + 1 leave a one-element
+    # last block, and an even N pairs its middle j = N / 2 with itself
     p = ModelParams(n=n)
     for m, c in [(0.3, ConjugateCoords(1.3, 0.1)), (-0.7, ConjugateCoords(0.4, -0.9))]:
         assert log_partition_binom(m, c, p).hex() == binom_one_expression(m, c, p).hex()
+
+
+def test_binom_sum_holds_one_table():
+    # log C(N, j) is folded into the log-factorial table and the spin term
+    # added in blocks, so the sum's traced peak is one (N + 1)-float table
+    # plus O(BLOCK) temporaries, below two tables
+    p = ModelParams(n=BINOM_CAP)
+    c = ConjugateCoords(1.3, 0.1)
+    tracemalloc.start()
+    try:
+        log_partition_binom(0.3, c, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * (BINOM_CAP + 1)
 
 
 def test_import_leaves_scipy_out():

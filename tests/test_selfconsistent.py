@@ -316,6 +316,26 @@ def test_solve_rejects_overflowing_theta():
         solve(ConjugateCoords(1.7e308, -1.7e308), P)
 
 
+@pytest.mark.parametrize("m, c, p, match", [
+    (-2.4e286, ConjugateCoords(-3.4e-179, 0.0), P, "beta >= 0"),  # was inf
+    (1.5, ConjugateCoords(1.0, 0.0), P, r"\|m\| <= 1"),
+    (math.nan, ConjugateCoords(1.0, 0.0), P, r"\|m\| <= 1"),
+    (0.5, ConjugateCoords(1e308, 0.0), ModelParams(jz=1e300), "not a finite double"),  # -inf + inf
+], ids=["negative-beta", "m-above-1", "m-nan", "overflow"])
+def test_massieu_per_site_is_finite_or_a_domain_error(m, c, p, match):
+    with pytest.raises(DomainError, match=match):
+        massieu_per_site(m, c, p)
+
+
+def test_massieu_per_site_keeps_its_edges_and_solve_bits():
+    # beta = 0 is the oracle's infinite-temperature limit, log 2 per site
+    assert massieu_per_site(0.3, ConjugateCoords(0.0, 0.0), P) == math.log(2.0)
+    for c in (ConjugateCoords(1.2, 0.05), ConjugateCoords(40.0, 0.0)):
+        rs = solve(c, P)
+        assert [massieu_per_site(r.m, c, P) for r in rs.roots] == [r.psi for r in rs.roots]
+    assert [r.m for r in rs.roots] == [-1.0, 0.0, 1.0]  # roots at m = +-1 stay valid
+
+
 def test_curve_lies_inside_the_spinodal_as_a_metastable_point():
     """The curve against the spinodal, at equal beta.
 

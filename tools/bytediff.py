@@ -3,7 +3,7 @@
     python3 tools/bytediff.py REV [ARGV ...]
 
 Runs the README command set (each data command in CSV and in JSON), the
-`solve` and `zero-field` lines of ROOT_COMMANDS, the scripts in demos/
+`solve`, `zero-field` and `verify` lines of ROOT_COMMANDS, the scripts in demos/
 and each extra ARGV, one quoted command line such as "surface --samples
 301" (@FILE reads one command line per line). Each runs in this process, through `isingcusp.cli.main` or as a script: once
 with REV's src/ and demos/, extracted by `git archive` into a temporary
@@ -40,7 +40,8 @@ from itertools import zip_longest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # the subcommands that take --format
 DATA_COMMANDS = {"curve", "surface", "solve", "exponents", "zero-field"}
-# one command per branch of the root finder; CSV's %.17g shows every bit of m and psi
+# one command per branch of the root finder, whose CSV %.17g shows every bit of
+# m and psi, and verify runs whose oracle check sums a binomial table at small N
 ROOT_COMMANDS = [
     "solve --beta 0.5",                                        # one root
     "solve --beta 1.2 --xi 0.05",                              # three roots
@@ -58,6 +59,9 @@ ROOT_COMMANDS = [
     "zero-field --k 1e300 --beta-min 0.5 --beta-max 3 --samples 11",     # huge k
     "zero-field --beta-min 0.5 --beta-max 40 --samples 5",               # m rounds to 1
     "zero-field --jz 10 --beta-min 0.5 --beta-max 1e308 --samples 2",    # beta Jz overflows
+    "verify --n 1",                                            # j = 0 and its mirror
+    "verify --n 2",                                            # the middle j = 1 pairs with itself
+    "verify --n 20 --jz 2.5 --k 0.5 --seed 3",                 # N = 20 at Jz 2.5, k 0.5
 ]
 
 
