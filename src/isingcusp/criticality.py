@@ -187,6 +187,8 @@ def fit_exponents(p: ModelParams, m_min: float = 1e-3, m_max: float = 1e-2,
         chis, cs = _response(ms, betas, p)
     if np.isinf(chis).any():
         raise DomainError(f"susceptibility overflows in the window; raise m_min = {m_min}")
+    if np.isinf(cs).any():
+        raise DomainError(f"specific heat overflows in the window at k = {p.k}")
 
     delta_slope, delta_rms = _loglog_slope(ms, xis)
     beta_slope, beta_rms = _loglog_slope(ts, ms)

@@ -107,9 +107,14 @@ def _beta_xi(m, p: ModelParams):
             np.where(small, _xi_series(m), _xi_closed(m, MATH_EACH)))
 
 
+def _u(m, p: ModelParams):
+    return -0.5 * p.jz * m * m
+
+
 def u_of_m(m: float, p: ModelParams) -> float:
     """Energy per site, -Jz m^2 / 2."""
-    return -0.5 * p.jz * m * m
+    _check_m(m)
+    return _u(m, p)
 
 
 def _s_closed(m, p: ModelParams, lib=math):
@@ -221,9 +226,9 @@ def sample_curve(m_min: float, m_max: float, n_samples: int,
         beta, xi = _beta_xi(m, p)
         t, h = field_coords(beta, xi, p)
         chi, c = _response(m, beta, p)
-        chi[zero] = np.nan
-        # the m = 0 row carries +0.0 for u and s, as curve_point's does
-        table = CurveTable(m=m, beta=beta, xi=xi, t=t, h=h, u=np.where(zero, 0.0, u_of_m(m, p)),
+        # the m = 0 row carries curve_point's limits: chi NaN, C = k, u = s = +0.0
+        chi[zero], c[zero] = np.nan, p.k
+        table = CurveTable(m=m, beta=beta, xi=xi, t=t, h=h, u=np.where(zero, 0.0, _u(m, p)),
                            s=np.where(zero, 0.0, _s_closed(m, p, MATH_EACH)), chi=chi, c=c)
         for name in _FIELDS:
             masked = zero if name == "chi" else False

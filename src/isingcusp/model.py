@@ -3,7 +3,7 @@
 Everything downstream works with the coupling product J*z, the Boltzmann
 constant k, and (for the exact oracle) the site count N. The conjugate
 coordinates are the inverse temperature beta and the field parameter xi,
-related to the magnetic field by xi = beta*h.
+related to the magnetic field by xi = -beta h.
 """
 from __future__ import annotations
 
@@ -76,15 +76,16 @@ class ConjugateCoords:
 
 
 def field_coords(beta, xi, p: ModelParams):
-    """(T, h) = (1/(k beta), xi/beta) for k beta > 0, on floats or arrays.
+    """(T, h) = (1/(k beta), -xi/beta) for k beta > 0, on floats or arrays.
 
     Unchecked: to_field_coords checks a scalar argument and its result.
     """
-    return 1.0 / (p.k * beta), xi / beta
+    # 0.0 - xi is -xi, but +0.0 at xi = 0
+    return 1.0 / (p.k * beta), (0.0 - xi) / beta
 
 
 def to_field_coords(c: ConjugateCoords, p: ModelParams):
-    """Map (beta, xi) to (T, h) via T = 1/(k beta) and h = xi/beta."""
+    """Map (beta, xi) to (T, h) via T = 1/(k beta) and h = -xi/beta."""
     if c.beta <= 0:
         raise DomainError(f"field coordinates need beta > 0, got {c.beta}")
     kbeta = p.k * c.beta

@@ -12,9 +12,12 @@ Below |beta Jz m - xi| = SEAM, f is evaluated as
 last term, which keeps f accurate where m and tanh cancel, so every root
 is as accurate as its conditioning allows. Roots on the outer,
 increasing pieces are stable fixed points and a root on the middle,
-decreasing piece is unstable. Among stable roots the equilibrium
-maximizes the grand Massieu function per site. The zero-field branch is
-that equilibrium at xi = 0, taken from solve one beta at a time.
+decreasing piece is unstable. The equilibrium is the stable root on the
+field's side, the first for xi > 0 and the last otherwise: it maximizes
+the Massieu function per site psi, as psi_left - psi_right has the sign
+of xi (d psi / d xi = -m along each root, and the two tie at xi = 0),
+and it is positive at xi = 0. The zero-field branch is that equilibrium
+at xi = 0, taken from solve one beta at a time.
 """
 from __future__ import annotations
 
@@ -30,8 +33,6 @@ from .model import ConjugateCoords, DomainError, ModelParams, check_cells
 # Below |theta| = SEAM, theta - tanh(theta) is its series to theta^15, whose
 # next term is about 1e-17 of the sum at the seam.
 SEAM = 0.1
-# Stable roots whose Massieu values agree this closely count as degenerate.
-PSI_TIE = 1e-12
 
 
 def _log2cosh(x: float) -> float:
@@ -203,12 +204,9 @@ def solve(c: ConjugateCoords, p: ModelParams = ModelParams()) -> RootSet:
         if not roots or roots[-1].m != m:
             roots.append(Root(m, i != middle, _massieu(m, c, p)))
 
-    # roots ascend in m, so the last tied index breaks the symmetric tie at
-    # xi=0 toward positive m
-    best_psi = max([r.psi for r in roots if r.stable])
-    selected = len(roots) - 1
-    while not (roots[selected].stable and best_psi - roots[selected].psi < PSI_TIE):
-        selected -= 1
+    selected, step = (0, 1) if xi > 0.0 else (len(roots) - 1, -1)
+    while not roots[selected].stable:
+        selected += step
     return RootSet(tuple(roots), selected)
 
 

@@ -175,11 +175,12 @@ def surface_grid(u_range, m_range, nu: int, nm: int,
     """
     if nu < 2 or nm < 2:
         raise DomainError(f"grid needs at least 2 points per axis, got {nu}x{nm}")
-    if not all(math.isfinite(v) for v in (*u_range, *m_range)):
-        raise DomainError(f"grid ranges must be finite, got U {u_range}, M {m_range}")
+    # a finite span needs finite ends and keeps every grid point finite
+    if not all(math.isfinite(hi - lo) for lo, hi in (u_range, m_range)):
+        raise DomainError(f"grid ranges and their spans must be finite, got U {u_range}, "
+                          f"M {m_range}")
     check_cells(nu * nm)
     with np.errstate(all="ignore"):
-        # a span that overflows a double gives NaN and inf points, which are masked
         u = np.repeat(np.linspace(u_range[0], u_range[1], nu), nm)
         m = np.tile(np.linspace(m_range[0], m_range[1], nm), nu)
         x = _x(u, m, p)

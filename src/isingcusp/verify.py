@@ -31,8 +31,8 @@ def random_states(rng, count: int, p: ModelParams):
     return u, m
 
 
-def check_hj_residual(p: ModelParams, seed: int, count: int = 1000) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_hj_residual(p: ModelParams, seed: int) -> CheckResult:
+    rng, count = np.random.default_rng(seed), 1000
     us, ms = random_states(rng, count, p)
     # every state under each a in (0, 1, -3), scored in one array call
     branches = (0.0, 1.0, -3.0)
@@ -44,8 +44,8 @@ def check_hj_residual(p: ModelParams, seed: int, count: int = 1000) -> CheckResu
                        f"max scaled residual {worst:.3e} over {count} states, a in (0, 1, -3)")
 
 
-def check_gradient_fd(p: ModelParams, seed: int, count: int = 1000) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_gradient_fd(p: ModelParams, seed: int) -> CheckResult:
+    rng, count = np.random.default_rng(seed), 1000
     us, ms = random_states(rng, count, p)
     hu, hm = 1e-6 * np.abs(us), 1e-6 * np.abs(ms)
     # the states and their four central-difference neighbours, in one array call
@@ -123,8 +123,8 @@ def check_cusp(p: ModelParams) -> CheckResult:
                        f"norm(1e-3) = {jn:.6e}, monotone on [1e-4, 1e-1]: {monotone}")
 
 
-def check_ideal_gas(seed: int, count: int = 100) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_ideal_gas(seed: int) -> CheckResult:
+    rng, count = np.random.default_rng(seed), 100
     worst = 0.0
     for _ in range(count):
         g = idealgas.GasState(u=float(rng.uniform(0.1, 10.0)),

@@ -220,6 +220,8 @@ def test_fit_rejects_bad_windows():
         fit_exponents(P, 0.01, 0.05, 20)     # straddles the series seam
     with pytest.raises(DomainError):
         fit_exponents(P, 1e-120, 1e-2, 20)   # xi = m^3 / 6 underflows to 0
+    with pytest.raises(DomainError, match="specific heat overflows"):
+        fit_exponents(ModelParams(k=1.7975133670469076e308))  # alpha's deviation was inf
 
 
 def test_series_fidelity_small_m():

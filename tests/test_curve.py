@@ -66,6 +66,10 @@ def test_domain_errors():
             xi_of_m(bad, P)
         with pytest.raises(DomainError):
             s_of_m(bad, P)
+        with pytest.raises(DomainError):
+            u_of_m(bad, P)
+    with pytest.raises(DomainError):
+        u_of_m(-1e155, P)   # was -inf
 
 
 def test_non_finite_parameters_are_rejected():
@@ -145,7 +149,7 @@ def test_sample_curve_invariants():
         expected_beta = 1.0 / P.jz if s.m == 0 else beta_of_m(s.m, P)
         assert s.beta == expected_beta
         assert s.t == pytest.approx(1.0 / (P.k * s.beta), rel=1e-15)
-        assert s.h == pytest.approx(s.xi / s.beta, rel=1e-15)
+        assert s.h == pytest.approx(-s.xi / s.beta, rel=1e-15)
 
 
 def test_curve_point_at_origin():
@@ -160,7 +164,8 @@ def test_curve_point_at_origin():
 
 def test_field_coords():
     assert to_field_coords(ConjugateCoords(beta=1.0, xi=0.0), P) == (1.0, 0.0)
-    assert to_field_coords(ConjugateCoords(beta=2.0, xi=1.0), P) == (0.5, 0.5)
+    # h = -xi/beta: the oracle weighs a configuration by exp(-xi sum S)
+    assert to_field_coords(ConjugateCoords(beta=2.0, xi=1.0), P) == (0.5, -0.5)
     with pytest.raises(DomainError):
         to_field_coords(ConjugateCoords(beta=0.0, xi=0.0), P)
     # T = 1/(k beta) overflows, or k beta underflows to 0
@@ -173,6 +178,7 @@ def test_field_coords():
     ((-0.3, 0.3, 601, "linear"), P),                      # steps of 1e-3 through m = 0
     ((-0.95, 0.95, 201, "linear"), ModelParams(jz=2.5, k=0.7)),
     ((1e-14, 0.999, 400, "log"), P),                      # first point snaps to m = 0
+    ((-0.3, 0.3, 601, "linear"), ModelParams(jz=49.0, k=1.3)),  # (1/Jz) Jz rounds below 1
 ])
 def test_sample_curve_columns_equal_scalar_points(args, p):
     table = sample_curve(*args, p)

@@ -1,0 +1,145 @@
+"""Every public callable gives a finite result or raises DomainError or SizeError.
+
+Each export in isingcusp.__all__ is called with arguments drawn from
+EXTREME, any finite double and log-uniform magnitudes, and the result is
+walked: every float in it, in arrays, records and namespaces too, must
+be finite. NaN is allowed where it is documented: a surface cell's s
+where the cell is not valid, and chi on the m = 0 row of a curve table.
+"""
+import dataclasses
+import math
+import re
+import types
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_surface import EXTREME
+
+import isingcusp
+from isingcusp import ConjugateCoords, DomainError, GasState, ModelParams, SizeError
+from isingcusp.model import MAX_CELLS
+
+# Constants, error classes and records that hold what they are given.
+PLAIN = {"ALPHA_TOL", "M_SWITCH", "DomainError", "SizeError", "CheckResult", "CurveSample",
+         "ExponentReport", "OracleResult", "Root", "RootSet"}
+
+# table sizes: small, degenerate, or over the cap (raised before allocating)
+COUNT = st.integers(-1, 6) | st.integers(MAX_CELLS + 1, 2 ** 62)
+# oracle sizes: small, just over the enumeration cap, over the binomial cap
+SITES = st.integers(1, 8) | st.sampled_from([21, 10 ** 6 + 1])
+
+
+POSITIVE = EXTREME.map(abs)
+
+
+def params(draw):
+    return ModelParams(jz=draw(POSITIVE), k=draw(POSITIVE), n=draw(SITES))
+
+
+def coords(draw):
+    return ConjugateCoords(beta=draw(POSITIVE), xi=draw(EXTREME))
+
+
+def gas(draw):
+    return GasState(draw(POSITIVE), draw(POSITIVE), draw(POSITIVE), draw(EXTREME))
+
+
+def on_m(f):
+    return lambda d: f(d(EXTREME), params(d))
+
+
+def on_gas(f):
+    return lambda d: f(gas(d))
+
+
+def on_state(f):
+    return lambda d: f(d(EXTREME), d(EXTREME), params(d), d(EXTREME))
+
+
+def on_partition(f):
+    return lambda d: f(d(EXTREME), coords(d), params(d))
+
+
+CALLS = {
+    "ModelParams": params,
+    "ConjugateCoords": coords,
+    "GasState": gas,
+    **{name: on_m(getattr(isingcusp, name)) for name in (
+        "beta_of_m", "xi_of_m", "u_of_m", "s_of_m", "curve_point", "check_entropy_offset",
+        "jacobian_norm", "reduced_temperature", "specific_heat", "susceptibility")},
+    **{name: on_gas(getattr(isingcusp, name)) for name in (
+        "gas_entropy", "gas_gradient", "gas_hj_residual", "gas_recover_eos")},
+    **{name: on_state(getattr(isingcusp, name)) for name in (
+        "entropy", "gradient", "hj_residual")},
+    "in_domain": lambda d: isingcusp.in_domain(d(EXTREME), d(EXTREME), params(d)),
+    **{name: on_partition(getattr(isingcusp, name)) for name in (
+        "log_partition_binom", "log_partition_closed", "log_partition_enum",
+        "massieu_per_site")},
+    "log_partition": lambda d: isingcusp.log_partition(
+        d(EXTREME), coords(d), params(d), d(st.sampled_from(["binom", "enum", "closed"]))),
+    "evaluate": lambda d: isingcusp.evaluate(
+        d(EXTREME), coords(d), params(d), d(st.sampled_from(["binom", "enum", "closed"]))),
+    "solve": lambda d: isingcusp.solve(coords(d), params(d)),
+    "to_field_coords": lambda d: isingcusp.to_field_coords(coords(d), params(d)),
+    "sample_curve": lambda d: isingcusp.sample_curve(
+        d(EXTREME), d(EXTREME), d(COUNT), d(st.sampled_from(["linear", "log"])), params(d)),
+    "surface_grid": lambda d: isingcusp.surface_grid(
+        (d(EXTREME), d(EXTREME)), (d(EXTREME), d(EXTREME)), d(COUNT), d(COUNT), params(d),
+        d(EXTREME)),
+    "zero_field_branch": lambda d: isingcusp.zero_field_branch(
+        d(EXTREME), d(EXTREME), d(COUNT), params(d)),
+    "fit_exponents": lambda d: isingcusp.fit_exponents(
+        params(d), d(EXTREME), d(EXTREME), d(COUNT)),
+    "run_all": lambda d: isingcusp.run_all(params(d), d(st.integers(0, 2 ** 32))),
+}
+
+
+def test_every_export_is_called_or_plain():
+    assert set(CALLS).isdisjoint(PLAIN)
+    assert set(CALLS) | PLAIN == set(isingcusp.__all__)
+
+
+NON_FINITE_WORD = re.compile(r"\b(nan|inf)\b")
+
+
+def assert_finite(value, where):
+    if isinstance(value, (bool, int, type(None))):
+        return
+    if isinstance(value, float):
+        assert math.isfinite(value), where
+    elif isinstance(value, str):
+        assert not NON_FINITE_WORD.search(value), (where, value)
+    elif isinstance(value, np.ndarray):
+        assert value.dtype == bool or np.isfinite(value).all(), where
+    elif isinstance(value, (tuple, list)):
+        for i, v in enumerate(value):
+            assert_finite(v, f"{where}[{i}]")
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            assert_finite(getattr(value, f.name), f"{where}.{f.name}")
+    elif isinstance(value, types.SimpleNamespace):
+        fields = dict(vars(value))
+        if "valid" in fields:  # a surface grid: s is NaN exactly where masked
+            s, valid = fields.pop("s"), fields["valid"]
+            assert np.isfinite(s[valid]).all() and np.isnan(s[~valid]).all(), where
+        if "chi" in fields:  # a curve table: chi is NaN exactly on the m = 0 row
+            chi, zero = fields.pop("chi"), fields["m"] == 0.0
+            assert np.isfinite(chi[~zero]).all() and np.isnan(chi[zero]).all(), where
+        for name, v in fields.items():
+            assert_finite(v, f"{where}.{name}")
+    else:
+        raise AssertionError(f"{where}: unchecked type {type(value).__name__}")
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_export_is_finite_or_raises(name, data):
+    try:
+        result = CALLS[name](data.draw)
+    except (DomainError, SizeError):
+        return
+    assert_finite(result, name)
+

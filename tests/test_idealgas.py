@@ -1,4 +1,6 @@
 """Monatomic gas worked example: same PDE machinery, closed-form checks."""
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,19 @@ def test_recover_equation_of_state():
         assert pressure * st.v == pytest.approx(st.r * t, rel=1e-13)
 
 
+@pytest.mark.parametrize("f, state", [
+    (gas_gradient, GasState(5e-324, 1.0)),              # p_U = 3r/2U was inf
+    (gas_hj_residual, GasState(5e-324, 1.0)),
+    (gas_recover_eos, GasState(5e-324, 1.0)),
+    (gas_entropy, GasState(1e308, 1.0, r=1e308)),       # was inf
+    (gas_hj_residual, GasState(1.0, 1.5e308)),          # 1.5 V overflows: was -inf
+    (gas_recover_eos, GasState(1e308, 1.0, r=1e-300)),  # p_U underflows to 0: T = 1/0
+], ids=["gradient", "residual", "eos", "entropy", "residual-volume", "eos-underflow"])
+def test_non_finite_results_are_domain_errors(f, state):
+    with pytest.raises(DomainError, match="not a finite double"):
+        f(state)
+
+
 def test_rejects_nonpositive_state():
     with pytest.raises(DomainError):
         GasState(u=0.0, v=1.0)
@@ -49,3 +64,6 @@ def test_rejects_nonpositive_state():
         GasState(u=1.0, v=-2.0)
     with pytest.raises(DomainError):
         GasState(u=1.0, v=1.0, r=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            GasState(u=1.0, v=1.0, s0=bad)

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingcusp import (ConjugateCoords, DomainError, ModelParams, beta_of_m,
-                       massieu_per_site, s_of_m, solve, xi_of_m, zero_field_branch)
+                       massieu_per_site, s_of_m, solve, to_field_coords, xi_of_m,
+                       zero_field_branch)
+from isingcusp.oracle import _log_factorials
 
 P = ModelParams()
 
@@ -59,7 +61,10 @@ def reference_solve(c, p):
     """The former bisection solve, written with a closure for f and generators:
     (m, stable, psi) per root and the selected index. Its bisection compares
     signs, where the former one tested flo * fmid < 0, which underflows to
-    0 for two tiny values (beta 1, xi 5e-324, Jz 2) and so walked to m+."""
+    0 for two tiny values (beta 1, xi 5e-324, Jz 2) and so walked to m+.
+    The selected root has the largest psi; where the two stable psi agree
+    within 8 eps relative, rounding cannot tell them apart, and it is the
+    one on the field's side, the first for xi > 0 and the last otherwise."""
     bjz = c.beta * p.jz
 
     def f(m):
@@ -100,9 +105,12 @@ def reference_solve(c, p):
             continue
         if not roots or roots[-1][0] != m:
             roots.append((m, i != middle, massieu_per_site(m, c, p)))
-    best_psi = max(psi for _, stable, psi in roots if stable)
-    selected = max(i for i, (_, stable, psi) in enumerate(roots)
-                   if stable and best_psi - psi < 1e-12)
+    stable = [(i, psi) for i, (_, is_stable, psi) in enumerate(roots) if is_stable]
+    (left, psi_l), (right, psi_r) = stable[0], stable[-1]
+    if abs(psi_l - psi_r) <= 8 * EPS * max(abs(psi_l), abs(psi_r)):
+        selected = left if c.xi > 0 else right
+    else:
+        selected = left if psi_l > psi_r else right
     return roots, selected
 
 
@@ -343,9 +351,8 @@ def test_curve_lies_inside_the_spinodal_as_a_metastable_point():
     where xi_sp = beta Jz m_t - atanh(m_t). Near the cusp xi ~ m^3/6 and
     xi_sp ~ (2/3) m_t^3, so xi / xi_sp tends to 1/sqrt(2) as m^2. The
     curve point m is a stable root of the solver but not the selected
-    one: the selected root has the opposite sign. Below about
-    |m| = 1.27e-3 the two stable Massieu values differ by less than
-    PSI_TIE, so for m > 0 the tie rule picks +m there.
+    one: the selected root has the opposite sign, also at |m| = 1e-4,
+    where the two stable Massieu values round to the same double.
     """
     for a in np.geomspace(1e-4, 0.999, 400):
         for m in (float(a), -float(a)):
@@ -357,12 +364,56 @@ def test_curve_lies_inside_the_spinodal_as_a_metastable_point():
             if abs(m) <= 0.1:
                 ratio = abs(c.xi) / xi_sp
                 assert abs(ratio - 1.0 / math.sqrt(2.0)) < 0.04 * m * m + 1e-7
-            if abs(m) >= 2e-3:
-                rs = solve(c, P)
-                assert len(rs.roots) == 3
-                (own,) = [i for i, r in enumerate(rs.roots) if abs(r.m - m) < 1e-9]
-                assert rs.roots[own].stable and own != rs.selected
-                assert rs.equilibrium.m * m < 0
+            rs = solve(c, P)
+            assert len(rs.roots) == 3
+            (own,) = [i for i, r in enumerate(rs.roots) if abs(r.m - m) < 1e-9]
+            assert rs.roots[own].stable and own != rs.selected
+            assert rs.equilibrium.m * m < 0
+
+
+def curie_weiss_mean(beta, xi, jz, n):
+    """<M>/N of the Curie-Weiss model H = -(Jz / 2N) M^2 in the field xi.
+
+    Z_N = sum_j C(N, j) exp(beta Jz M_j^2 / (2N) - xi M_j), M_j = 2j - N,
+    summed exactly on the oracle's log-factorial table and max-shifted. It
+    shares no code with solve: by Laplace's method <M>/N tends to the
+    equilibrium m* as m* + a/N, where the field's weight exp(-xi M) picks
+    the side.
+    """
+    lf = _log_factorials(n)
+    spin = 2.0 * np.arange(n + 1) - n
+    expo = (lf[n] - lf - lf[::-1]) + (beta * jz / (2 * n)) * spin * spin - xi * spin
+    w = np.exp(expo - expo.max())
+    return float((w * spin).sum() / w.sum()) / n
+
+
+@pytest.mark.parametrize("beta, xi", [(0.5, 0.3), (1.2, 0.05), (1.2, -0.05), (2.0, 0.3),
+                                      (0.8, -1.0), (3.0, 0.01)])
+def test_equilibrium_is_the_curie_weiss_limit(beta, xi):
+    # away from beta Jz = 1 and the spinodal, where the limit sets in early:
+    # the gap <M>/N - m* falls 10x from N = 10^5 to 10^6, and <M>, m* and
+    # h = -xi/beta share a sign, opposite to xi's
+    c = ConjugateCoords(beta, xi)
+    m_star = solve(c, P).equilibrium.m
+    gaps = [curie_weiss_mean(beta, xi, P.jz, n) - m_star for n in (10 ** 5, 10 ** 6)]
+    assert 9.0 <= gaps[0] / gaps[1] <= 11.0
+    h = to_field_coords(c, P)[1]
+    assert math.copysign(1.0, m_star) == math.copysign(1.0, h) == -math.copysign(1.0, xi)
+    assert math.copysign(1.0, m_star + gaps[1]) == math.copysign(1.0, m_star)
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(0.05, 5.0), xi=st.floats(1e-3, 3.0), sign=st.sampled_from([-1.0, 1.0]),
+       jz=st.floats(0.3, 3.0))
+def test_field_sign_agrees_with_curie_weiss(beta, xi, sign, jz):
+    # <M> of the exact sum at N = 2000 has the sign of -xi at every beta,
+    # and so must the selected root and h, metastable pairs included
+    xi *= sign
+    p = ModelParams(jz=jz)
+    c = ConjugateCoords(beta, xi)
+    signs = {math.copysign(1.0, v) for v in (curie_weiss_mean(beta, xi, jz, 2000),
+                                             solve(c, p).equilibrium.m, to_field_coords(c, p)[1])}
+    assert signs == {-sign}
 
 
 def test_zero_field_branch_values():

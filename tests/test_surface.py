@@ -135,6 +135,12 @@ def test_non_finite_states_are_outside_the_domain():
         surface_grid((math.nan, 1.0), (-2.0, 2.0), 5, 5, P)
     with pytest.raises(DomainError):
         surface_grid((-1.0, 1.0), (-2.0, math.inf), 5, 5, P)
+    # finite ends whose span overflows: linspace would give inf and NaN
+    # coordinates, which the grid returned before it raised
+    for u_range, m_range in (((-1.0, 1.0), (-8.98846567431158e307, 8.98846567431158e307)),
+                             ((-1e308, 1e308), (-2.0, 2.0))):
+        with pytest.raises(DomainError, match="spans must be finite"):
+            surface_grid(u_range, m_range, 3, 3, P)
 
 
 def test_unrepresentable_states_raise_and_are_masked():
@@ -143,8 +149,9 @@ def test_unrepresentable_states_raise_and_are_masked():
                     (1e-300, 1e32, P), (-1e307, 1e308, ModelParams(k=1e10))):
         with pytest.raises(DomainError):
             entropy(u, m, p)
-    cells = surface_grid((-1e-300, 1e-300), (-1e308, 1e308), 9, 9, P)
+    cells = surface_grid((-1e-300, 1e-300), (-8e307, 8e307), 9, 9, P)
     assert all(math.isfinite(c.s) if c.valid else c.s is None for c in cells)
+    assert not all(c.valid for c in cells)
 
 
 def test_underflowing_products_are_domain_errors():
@@ -213,8 +220,8 @@ def test_surface_grid_rejects_degenerate_axes():
 @pytest.mark.parametrize("u_range, m_range, n, p, a", [
     ((-1.0, 1.0), (-2.0, 2.0), 33, P, 0.0),
     ((-1.0, 1.0), (-2.0, 2.0), 17, ModelParams(jz=2.5, k=0.7), 7.3),
-    ((-1e-300, 1e-300), (-1e308, 1e308), 9, P, 0.0),   # NaN and inf M, masked
-    ((-1e307, 1e307), (-1e308, 1e308), 9, ModelParams(k=1e10), 0.0),
+    ((-1e-300, 1e-300), (-8e307, 8e307), 9, P, 0.0),   # S overflows or meets inf * 0, masked
+    ((-1e307, 1e307), (-8e307, 8e307), 9, ModelParams(k=1e10), 0.0),
 ])
 def test_surface_grid_equals_scalar_entropy(u_range, m_range, n, p, a):
     cells = surface_grid(u_range, m_range, n, n, p, a)

@@ -53,6 +53,8 @@ ROOT_COMMANDS = [
     "solve --beta 1.5 --xi 1e-12",                             # a tiny middle root
     "solve --beta 1.0000000000000002",                         # beta Jz = 1 + eps
     "solve --beta 1 --xi 1",                                   # beta Jz = 1, one root
+    "solve --beta 1.0000005000003334 --xi 1.6666680000010714e-10",  # the curve point m = 1e-3
+    "solve --beta 1 --xi 5e-324 --jz 2",                       # the smallest field
     "zero-field --beta-min 0.999999 --beta-max 1.000001 --samples 201",  # the threshold
     "zero-field --jz 0.37 --beta-min 0.5 --beta-max 50 --samples 3001",  # beta Jz up to 18.5
     "zero-field --jz 1e-300 --beta-min 1e299 --beta-max 1e301 --samples 50",  # tiny Jz
