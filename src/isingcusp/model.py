@@ -8,6 +8,7 @@ related to the magnetic field by xi = -beta h.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -30,6 +31,19 @@ def check_cells(count: int) -> None:
         raise SizeError(f"{count} cells exceed the table cap of {MAX_CELLS}")
 
 
+def check_index(value, name: str, least: int) -> int:
+    """value as an int of at least least; DomainError for a bool or a non-integer."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if index < least:
+        raise DomainError(f"{name} must be >= {least}, got {index}")
+    return index
+
+
 def _check_finite(obj, names) -> None:
     for name in names:
         value = getattr(obj, name)
@@ -50,14 +64,13 @@ class ModelParams:
     n: int = 12
 
     def __post_init__(self):
-        _check_finite(self, ("jz", "k", "n"))
+        _check_finite(self, ("jz", "k"))
         # beta = 1/Jz at the critical point must be a finite double
         if self.jz <= 0 or math.isinf(1.0 / self.jz):
             raise DomainError(f"coupling Jz must be positive with a finite 1/Jz, got {self.jz}")
         if self.k <= 0:
             raise DomainError(f"Boltzmann constant k must be positive, got {self.k}")
-        if self.n < 1:
-            raise DomainError(f"site count N must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", check_index(self.n, "site count N", 1))
 
 
 @dataclass(frozen=True)

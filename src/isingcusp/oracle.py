@@ -32,7 +32,9 @@ STEP = 1e-6
 # log j! comes from lgamma up to this j and from the Stirling series above,
 # where its first omitted term is below 1e-17.
 STIRLING_FROM = 32
-# The Stirling terms are formed this many at a time.
+# Tables are formed this many entries at a time: the Stirling terms, the
+# fold of log C(N, j) and the spin terms of the sum, and the configurations
+# of the enumeration.
 BLOCK = 2 ** 16
 
 
@@ -58,19 +60,35 @@ def _finite(x: float, name: str, m: float, c: ConjugateCoords, p: ModelParams) -
 
 
 def log_partition_enum(m: float, c: ConjugateCoords, p: ModelParams) -> float:
-    """log Xi by summing all 2^N configurations in log space."""
+    """log Xi by summing all 2^N configurations in log space, BLOCK at a time."""
     _check_m(m)
     if p.n > ENUM_CAP:
         raise SizeError(f"enumeration handles N <= {ENUM_CAP}, got N = {p.n}")
-    # configuration i has total spin 2 popcount(i) - N; it is formed in
-    # float64 because the uint8 popcount would wrap, then reused in place
-    expo = 2.0 * np.bitwise_count(np.arange(2 ** p.n, dtype=np.uint32)) - p.n
+    n = p.n
+    theta = c.beta * p.jz * m - c.xi
+    const = -0.5 * c.beta * n * p.jz * m * m
+    # rounding is monotone and the total spins +-N are exact, so the largest
+    # exponent, fl(fl(theta (2 popcount - N)) + const), is known before the sum
+    mx = n * abs(theta) + const
+    size = min(2 ** n, BLOCK)
+    expo = np.empty(size)
+    partials = []
     with np.errstate(all="ignore"):
-        expo *= c.beta * p.jz * m - c.xi
-        expo += -0.5 * c.beta * p.n * p.jz * m * m
-        mx = expo.max()
-        expo -= mx
-        return _finite(float(mx + np.log(np.exp(expo, out=expo).sum())), "log Xi", m, c, p)
+        for lo in range(0, 2 ** n, size):
+            # configuration i has total spin 2 popcount(i) - N, formed in
+            # float64 because the uint8 popcount would wrap
+            np.multiply(np.bitwise_count(np.arange(lo, lo + size, dtype=np.uint32)), 2.0,
+                        out=expo)
+            expo -= n
+            expo *= theta
+            expo += const
+            expo -= mx
+            partials.append(float(np.exp(expo, out=expo).sum()))
+        # numpy sums one contiguous 2^N array pairwise, halving it down to
+        # blocks: the same tree over the block sums gives the same bits
+        while len(partials) > 1:
+            partials = [a + b for a, b in zip(partials[::2], partials[1::2])]
+        return _finite(float(mx + np.log(partials[0])), "log Xi", m, c, p)
 
 
 def log_partition_binom(m: float, c: ConjugateCoords, p: ModelParams) -> float:
@@ -124,7 +142,7 @@ def log_partition(m: float, c: ConjugateCoords, p: ModelParams,
         return log_partition_binom(m, c, p)
     if method == "closed":
         return log_partition_closed(m, c, p)
-    raise ValueError(f"unknown method {method!r}")
+    raise DomainError(f"unknown method {method!r}")
 
 
 def _central(f, x0: float) -> float:

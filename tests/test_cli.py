@@ -203,6 +203,15 @@ def test_bad_seed_or_output_is_a_usage_error(tmp_path, argv):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["verify", "--n", "4"], ["idealgas"]])
+def test_randomized_checks_leave_numpy_random_out(argv):
+    # their draws come from stdlib random, whose stream is fixed per seed
+    script = ("import sys; from isingcusp.cli import main; code = main(sys.argv[1:]); "
+              "print(code, 'numpy.random' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    assert proc.stderr.strip() == "0 False"
+
+
 def test_curve_just_off_origin(tmp_path):
     code, data = run_to_file(tmp_path, "c.csv", ["curve", "--m-min=-1e-6", "--m-max=1e-6",
                                                  "--samples", "4"])

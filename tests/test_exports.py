@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from test_surface import EXTREME
 
 import isingcusp
-from isingcusp import ConjugateCoords, DomainError, GasState, ModelParams, SizeError
+from isingcusp import ConjugateCoords, DomainError, GasState, ModelParams, SizeError, verify
 from isingcusp.model import MAX_CELLS
 
 # Constants, error classes and records that hold what they are given.
@@ -27,8 +27,13 @@ PLAIN = {"ALPHA_TOL", "M_SWITCH", "DomainError", "SizeError", "CheckResult", "Cu
 
 # table sizes: small, degenerate, or over the cap (raised before allocating)
 COUNT = st.integers(-1, 6) | st.integers(MAX_CELLS + 1, 2 ** 62)
-# oracle sizes: small, just over the enumeration cap, over the binomial cap
-SITES = st.integers(1, 8) | st.sampled_from([21, 10 ** 6 + 1])
+# oracle sizes: small, just over the enumeration cap, over the binomial cap,
+# and not integers
+SITES = st.integers(1, 8) | st.sampled_from([21, 10 ** 6 + 1, 1.5, 2.0, True])
+# oracle routes, known and unknown
+METHODS = st.sampled_from(["binom", "enum", "closed", "fast", "", "Binom"])
+# seeds of the randomized checks: valid, negative, and not integers
+SEEDS = st.integers(0, 2 ** 32) | st.sampled_from([-1, -2 ** 40, True, 2.0, 1.5])
 
 
 POSITIVE = EXTREME.map(abs)
@@ -78,9 +83,8 @@ CALLS = {
         "log_partition_binom", "log_partition_closed", "log_partition_enum",
         "massieu_per_site")},
     "log_partition": lambda d: isingcusp.log_partition(
-        d(EXTREME), coords(d), params(d), d(st.sampled_from(["binom", "enum", "closed"]))),
-    "evaluate": lambda d: isingcusp.evaluate(
-        d(EXTREME), coords(d), params(d), d(st.sampled_from(["binom", "enum", "closed"]))),
+        d(EXTREME), coords(d), params(d), d(METHODS)),
+    "evaluate": lambda d: isingcusp.evaluate(d(EXTREME), coords(d), params(d), d(METHODS)),
     "solve": lambda d: isingcusp.solve(coords(d), params(d)),
     "to_field_coords": lambda d: isingcusp.to_field_coords(coords(d), params(d)),
     "sample_curve": lambda d: isingcusp.sample_curve(
@@ -92,7 +96,7 @@ CALLS = {
         d(EXTREME), d(EXTREME), d(COUNT), params(d)),
     "fit_exponents": lambda d: isingcusp.fit_exponents(
         params(d), d(EXTREME), d(EXTREME), d(COUNT)),
-    "run_all": lambda d: isingcusp.run_all(params(d), d(st.integers(0, 2 ** 32))),
+    "run_all": lambda d: isingcusp.run_all(params(d), d(SEEDS)),
 }
 
 
@@ -143,3 +147,25 @@ def test_export_is_finite_or_raises(name, data):
         return
     assert_finite(result, name)
 
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_bad_seed_is_a_domain_error(seed):
+    # Random(-1) would silently replay seed 1's draws
+    p = ModelParams(n=2)
+    for check in (isingcusp.run_all, verify.check_hj_residual, verify.check_gradient_fd):
+        with pytest.raises(DomainError, match="seed"):
+            check(p, seed)
+    with pytest.raises(DomainError, match="seed"):
+        verify.check_ideal_gas(seed)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True, 0])
+def test_site_count_is_a_positive_integer(n):
+    with pytest.raises(DomainError, match="site count N"):
+        ModelParams(n=n)
+
+
+@pytest.mark.parametrize("f", [isingcusp.log_partition, isingcusp.evaluate])
+def test_unknown_method_is_a_domain_error(f):
+    with pytest.raises(DomainError, match="unknown method 'fast'"):
+        f(0.5, ConjugateCoords(1.0), ModelParams(), "fast")

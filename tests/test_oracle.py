@@ -1,6 +1,7 @@
 """Finite-size ensemble oracle: enumeration vs binomial vs closed form."""
 import itertools
 import math
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -125,6 +126,41 @@ def test_binom_sum_holds_one_table():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 8 * (BINOM_CAP + 1)
+
+
+def enum_one_array(m, c, p):
+    """The enumeration as one 2^N exponent array, the form the blocks must
+    reproduce bit for bit."""
+    expo = 2.0 * np.bitwise_count(np.arange(2 ** p.n, dtype=np.uint32)) - p.n
+    expo *= c.beta * p.jz * m - c.xi
+    expo += -0.5 * c.beta * p.n * p.jz * m * m
+    mx = expo.max()
+    return float(mx + np.log(np.exp(expo - mx).sum()))
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, ENUM_CAP])
+def test_enum_blocks_equal_one_array(n):
+    # 2^16 = BLOCK configurations fill one block, 2^17 two, 2^20 sixteen
+    rng = random.Random(n)
+    for _ in range(6):
+        m = rng.uniform(-0.99, 0.99)
+        c = ConjugateCoords(rng.uniform(0.0, 3.0), rng.uniform(-2.0, 2.0))
+        p = ModelParams(jz=rng.uniform(0.1, 5.0), n=n)
+        assert log_partition_enum(m, c, p).hex() == enum_one_array(m, c, p).hex()
+
+
+def test_enum_holds_one_block():
+    # the 2^20 configurations stream through one BLOCK-float buffer, where one
+    # whole float64 array of them would be 8 MiB
+    p = ModelParams(n=ENUM_CAP)
+    c = ConjugateCoords(1.3, 0.1)
+    tracemalloc.start()
+    try:
+        log_partition_enum(0.3, c, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 def test_import_leaves_scipy_out():

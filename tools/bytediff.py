@@ -41,7 +41,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # the subcommands that take --format
 DATA_COMMANDS = {"curve", "surface", "solve", "exponents", "zero-field"}
 # one command per branch of the root finder, whose CSV %.17g shows every bit of
-# m and psi, and verify runs whose oracle check sums a binomial table at small N
+# m and psi, verify runs whose oracle check sums a binomial table at small N or
+# enumerates in one or two blocks, and an ideal-gas draw
 ROOT_COMMANDS = [
     "solve --beta 0.5",                                        # one root
     "solve --beta 1.2 --xi 0.05",                              # three roots
@@ -64,6 +65,9 @@ ROOT_COMMANDS = [
     "verify --n 1",                                            # j = 0 and its mirror
     "verify --n 2",                                            # the middle j = 1 pairs with itself
     "verify --n 20 --jz 2.5 --k 0.5 --seed 3",                 # N = 20 at Jz 2.5, k 0.5
+    "verify --n 16",                                           # 2^16: exactly one block
+    "verify --n 17",                                           # 2^17: two blocks
+    "idealgas --seed 3",                                       # draws at a nonzero seed
 ]
 
 
