@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import M_SWITCH, MATH_EACH, _beta_xi, _bjz_excess, _finite, beta_of_m
-from .model import DomainError, ModelParams, check_cells
+from .curve import M_SWITCH, MATH_EACH, _beta_xi, _bjz_excess, beta_of_m
+from .model import DomainError, ModelParams, check_cells, check_index, check_m, finite
 
 # Specific-heat flatness threshold for the alpha = 0 flag.
 ALPHA_TOL = 1e-3
@@ -26,7 +26,7 @@ D_SWITCH = 0.1
 
 
 def _check_nonzero_m(m: float) -> None:
-    if not 0.0 < abs(m) < 1.0:
+    if check_m(m) == 0.0:
         raise DomainError(f"need 0 < |m| < 1, got m = {m}")
 
 
@@ -78,7 +78,7 @@ def susceptibility(m: float, p: ModelParams) -> float:
     overflows, which is a DomainError.
     """
     _check_nonzero_m(m)
-    return _finite(_chi(beta_of_m(m, p), m, _denominator(m)), "susceptibility", m)
+    return finite(_chi(beta_of_m(m, p), m, _denominator(m)), "susceptibility", m=m)
 
 
 def specific_heat(m: float, p: ModelParams) -> float:
@@ -90,7 +90,7 @@ def specific_heat(m: float, p: ModelParams) -> float:
     0 < |m| < 1. Even in m.
     """
     _check_nonzero_m(m)
-    return _finite(_heat(beta_of_m(m, p) * p.jz, m, _denominator(m), p), "specific heat", m)
+    return finite(_heat(beta_of_m(m, p) * p.jz, m, _denominator(m), p), "specific heat", m=m)
 
 
 def _t_series(m, bjz):
@@ -125,7 +125,7 @@ def jacobian_norm(m: float, p: ModelParams) -> float:
     _check_nonzero_m(m)
     dbeta = 2.0 * m * _denominator(m) / (p.jz * (1.0 - m * m))
     dxi = 0.5 * p.jz * m * dbeta
-    return _finite(math.hypot(dbeta, dxi), "jacobian norm", m)
+    return finite(math.hypot(dbeta, dxi), "jacobian norm", m=m)
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,22 @@ class ExponentReport:
 
 
 def _loglog_slope(x, y):
+    """Least-squares slope of log|y| on log|x|, and the rms of its residuals.
+
+    The line is fitted in closed form, slope = Sxy / Sxx over the centred
+    logs, each sum an exact math.fsum and each log math's, so no BLAS or
+    SIMD kernel enters and every host gives the same bits.
+    """
     # xi ~ m^3/6 underflows to 0 below |m| of about 1e-108, t ~ -m^2/2 below 1e-162
     if not (np.all(x) and np.all(y)):
         raise DomainError("exponent window reaches values that round to 0; raise m_min")
-    lx, ly = np.log(np.abs(x)), np.log(np.abs(y))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    rms = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    return float(slope), rms
+    lx, ly = ([math.log(abs(v)) for v in z.tolist()] for z in (x, y))
+    xbar, ybar = math.fsum(lx) / len(lx), math.fsum(ly) / len(ly)
+    dx, dy = [v - xbar for v in lx], [v - ybar for v in ly]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    # from the residuals: they are 1e-6 of the logs or less, so Syy - slope Sxy cancels
+    rms = math.sqrt(math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy)) / len(dx))
+    return slope, rms
 
 
 def fit_exponents(p: ModelParams, m_min: float = 1e-3, m_max: float = 1e-2,
@@ -172,12 +181,10 @@ def fit_exponents(p: ModelParams, m_min: float = 1e-3, m_max: float = 1e-2,
     """
     if not 0.0 < m_min < m_max < 1.0:
         raise DomainError(f"need 0 < m_min < m_max < 1, got [{m_min}, {m_max}]")
-    if n_points < 5:
-        raise DomainError(f"exponent window needs at least 5 points, got {n_points}")
+    n_points = check_cells(check_index(n_points, "exponent window point count", 5))
     if m_min < M_SWITCH <= m_max:
         raise DomainError("window straddles the series seam at "
                           f"{M_SWITCH}; fits must stay on one branch")
-    check_cells(n_points)
     window = (m_min, m_max)
     ms = np.geomspace(m_min, m_max, n_points)
     with np.errstate(all="ignore"):

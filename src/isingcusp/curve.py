@@ -26,8 +26,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import (ConjugateCoords, DomainError, ModelParams, check_cells, field_coords,
-                    to_field_coords)
+from .model import (ConjugateCoords, DomainError, ModelParams, check_cells, check_index, check_m,
+                    field_coords, finite, to_field_coords)
 
 # Series/closed-form seam. At 0.02 the two branches of xi agree to ~1e-13
 # relative; at 1e-3 the closed form is already off by ~4e-10.
@@ -48,18 +48,6 @@ def _each(f):
 MATH_EACH = SimpleNamespace(log1p=_each(math.log1p), atanh=_each(math.atanh))
 
 
-def _check_m(m: float) -> None:
-    if not -1.0 < m < 1.0:
-        raise DomainError(f"order parameter must satisfy |m| < 1, got {m}")
-
-
-def _finite(x: float, name: str, m: float) -> float:
-    """x, the scalar quantity name at m, unless it overflowed."""
-    if not math.isfinite(x):
-        raise DomainError(f"{name} overflows at m = {m}")
-    return x
-
-
 def _bjz_excess(y):
     # beta Jz - 1 = y/2 + y^2/3 + y^3/4 + y^4/5 with y = m^2
     return y * (0.5 + y * (1.0 / 3.0 + y * (0.25 + y * 0.2)))
@@ -75,10 +63,10 @@ def _beta_closed(m, p: ModelParams, lib=math):
 
 def beta_of_m(m: float, p: ModelParams) -> float:
     """Inverse temperature along the curve; even in m, minimum 1/Jz at m=0."""
-    _check_m(m)
+    check_m(m)
     if abs(m) < M_SWITCH:
-        return _finite(_beta_series(m, p), "beta", m)
-    return _finite(_beta_closed(m, p), "beta", m)
+        return finite(_beta_series(m, p), "beta", m=m)
+    return finite(_beta_closed(m, p), "beta", m=m)
 
 
 def _xi_series(m):
@@ -94,7 +82,7 @@ def _xi_closed(m, lib=math):
 
 def xi_of_m(m: float, p: ModelParams) -> float:
     """Field parameter along the curve; odd in m, same sign as m."""
-    _check_m(m)
+    check_m(m)
     if abs(m) < M_SWITCH:
         return _xi_series(m)
     return _xi_closed(m)
@@ -113,7 +101,7 @@ def _u(m, p: ModelParams):
 
 def u_of_m(m: float, p: ModelParams) -> float:
     """Energy per site, -Jz m^2 / 2."""
-    _check_m(m)
+    check_m(m)
     return _u(m, p)
 
 
@@ -127,7 +115,7 @@ def s_of_m(m: float, p: ModelParams) -> float:
     This is the curve normalization without the k log 2 constant; the
     finite oracle owns the offset reconciliation.
     """
-    _check_m(m)
+    check_m(m)
     if m == 0.0:
         return 0.0
     return _s_closed(m, p)
@@ -182,7 +170,7 @@ def curve_point(m: float, p: ModelParams) -> CurveSample:
     # local import, criticality also imports this module
     from .criticality import _chi, _denominator, _heat
 
-    _check_m(m)
+    check_m(m)
     if abs(m) < M_ZERO_SNAP:
         beta = 1.0 / p.jz
         t, h = to_field_coords(ConjugateCoords(beta=beta, xi=0.0), p)
@@ -194,8 +182,8 @@ def curve_point(m: float, p: ModelParams) -> CurveSample:
     # susceptibility and specific_heat at this m, sharing beta and D/y^2
     d = _denominator(m)
     return CurveSample(m=m, beta=beta, xi=xi, t=t, h=h, u=u_of_m(m, p), s=s_of_m(m, p),
-                       chi=_finite(_chi(beta, m, d), "susceptibility", m),
-                       c=_finite(_heat(beta * p.jz, m, d, p), "specific heat", m))
+                       chi=finite(_chi(beta, m, d), "susceptibility", m=m),
+                       c=finite(_heat(beta * p.jz, m, d, p), "specific heat", m=m))
 
 
 def sample_curve(m_min: float, m_max: float, n_samples: int,
@@ -209,9 +197,7 @@ def sample_curve(m_min: float, m_max: float, n_samples: int,
 
     if not (-1.0 < m_min < m_max < 1.0):
         raise DomainError(f"need -1 < m_min < m_max < 1, got [{m_min}, {m_max}]")
-    if n_samples < 2:
-        raise DomainError(f"need at least 2 samples, got {n_samples}")
-    check_cells(n_samples)
+    n_samples = check_cells(check_index(n_samples, "sample count", 2))
     if spacing == "linear":
         grid = np.linspace(m_min, m_max, n_samples)
     elif spacing == "log":

@@ -25,10 +25,11 @@ class SizeError(ValueError):
 MAX_CELLS = 1 << 22
 
 
-def check_cells(count: int) -> None:
-    """SizeError for a table of more than MAX_CELLS rows, before any allocation."""
+def check_cells(count: int) -> int:
+    """count, or a SizeError for a table of more than MAX_CELLS rows, before any allocation."""
     if count > MAX_CELLS:
         raise SizeError(f"{count} cells exceed the table cap of {MAX_CELLS}")
+    return count
 
 
 def check_index(value, name: str, least: int) -> int:
@@ -44,11 +45,25 @@ def check_index(value, name: str, least: int) -> int:
     return index
 
 
-def _check_finite(obj, names) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+def finite(x, what: str, **where):
+    """x, unless it is not a finite double: then a DomainError naming what and the point where.
+
+    An int too large for a double is not a finite double either.
+    """
+    try:
+        if math.isfinite(x):
+            return x
+    except OverflowError:
+        pass
+    at = ", ".join(f"{name} = {value}" for name, value in where.items())
+    raise DomainError(f"{what} is not a finite double" + (f" at {at}" if at else ""))
+
+
+def check_m(m: float) -> float:
+    """m, or a DomainError unless the order parameter satisfies |m| < 1."""
+    if not -1.0 < m < 1.0:
+        raise DomainError(f"order parameter must satisfy |m| < 1, got {m}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -64,10 +79,12 @@ class ModelParams:
     n: int = 12
 
     def __post_init__(self):
-        _check_finite(self, ("jz", "k"))
+        finite(self.jz, "Jz", Jz=self.jz)
+        finite(self.k, "k", k=self.k)
+        if self.jz <= 0:
+            raise DomainError(f"coupling Jz must be positive, got {self.jz}")
         # beta = 1/Jz at the critical point must be a finite double
-        if self.jz <= 0 or math.isinf(1.0 / self.jz):
-            raise DomainError(f"coupling Jz must be positive with a finite 1/Jz, got {self.jz}")
+        finite(1.0 / self.jz, "1/Jz", Jz=self.jz)
         if self.k <= 0:
             raise DomainError(f"Boltzmann constant k must be positive, got {self.k}")
         object.__setattr__(self, "n", check_index(self.n, "site count N", 1))
@@ -85,7 +102,8 @@ class ConjugateCoords:
     xi: float = 0.0
 
     def __post_init__(self):
-        _check_finite(self, ("beta", "xi"))
+        finite(self.beta, "beta", beta=self.beta)
+        finite(self.xi, "xi", xi=self.xi)
 
 
 def field_coords(beta, xi, p: ModelParams):
@@ -101,9 +119,6 @@ def to_field_coords(c: ConjugateCoords, p: ModelParams):
     """Map (beta, xi) to (T, h) via T = 1/(k beta) and h = -xi/beta."""
     if c.beta <= 0:
         raise DomainError(f"field coordinates need beta > 0, got {c.beta}")
-    kbeta = p.k * c.beta
-    if kbeta > 0.0:
-        t, h = field_coords(c.beta, c.xi, p)
-        if not (math.isinf(t) or math.isinf(h)):
-            return t, h
-    raise DomainError(f"field coordinates overflow at k beta = {kbeta}, xi = {c.xi}")
+    # T = 1/(k beta) overflows where k beta underflows to 0
+    t, h = field_coords(c.beta, c.xi, p) if p.k * c.beta else (math.inf, 0.0)
+    return finite(t, "T", beta=c.beta, k=p.k), finite(h, "h", beta=c.beta, xi=c.xi)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import _check_m, beta_of_m, s_of_m, xi_of_m
-from .model import ConjugateCoords, DomainError, ModelParams, SizeError
+from .curve import beta_of_m, s_of_m, xi_of_m
+from .model import ConjugateCoords, DomainError, ModelParams, SizeError, check_m, finite
 from .selfconsistent import _massieu
 
 ENUM_CAP = 20
@@ -51,17 +51,9 @@ def _log_factorials(n: int) -> np.ndarray:
     return lf
 
 
-def _finite(x: float, name: str, m: float, c: ConjugateCoords, p: ModelParams) -> float:
-    """x, the quantity name at (m, c, p), unless it left the finite doubles."""
-    if not math.isfinite(x):
-        raise DomainError(f"{name} is not a finite double at m = {m}, beta = {c.beta}, "
-                          f"xi = {c.xi}, Jz = {p.jz}, k = {p.k}")
-    return x
-
-
 def log_partition_enum(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     """log Xi by summing all 2^N configurations in log space, BLOCK at a time."""
-    _check_m(m)
+    check_m(m)
     if p.n > ENUM_CAP:
         raise SizeError(f"enumeration handles N <= {ENUM_CAP}, got N = {p.n}")
     n = p.n
@@ -88,12 +80,13 @@ def log_partition_enum(m: float, c: ConjugateCoords, p: ModelParams) -> float:
         # blocks: the same tree over the block sums gives the same bits
         while len(partials) > 1:
             partials = [a + b for a, b in zip(partials[::2], partials[1::2])]
-        return _finite(float(mx + np.log(partials[0])), "log Xi", m, c, p)
+        return finite(float(mx + np.log(partials[0])), "log Xi",
+                      m=m, beta=c.beta, xi=c.xi, Jz=p.jz, k=p.k)
 
 
 def log_partition_binom(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     """log Xi by grouping configurations by total spin with C(N, j) weights."""
-    _check_m(m)
+    check_m(m)
     if p.n > BINOM_CAP:
         raise SizeError(f"binomial sum handles N <= {BINOM_CAP}, got N = {p.n}")
     n = p.n
@@ -120,7 +113,8 @@ def log_partition_binom(m: float, c: ConjugateCoords, p: ModelParams) -> float:
             expo[lo:lo + spin.size] += spin
         mx = expo.max()
         expo -= mx
-        return _finite(float(mx + np.log(np.exp(expo, out=expo).sum())), "log Xi", m, c, p)
+        return finite(float(mx + np.log(np.exp(expo, out=expo).sum())), "log Xi",
+                      m=m, beta=c.beta, xi=c.xi, Jz=p.jz, k=p.k)
 
 
 def log_partition_closed(m: float, c: ConjugateCoords, p: ModelParams) -> float:
@@ -129,8 +123,8 @@ def log_partition_closed(m: float, c: ConjugateCoords, p: ModelParams) -> float:
     Follows from the configuration sum factorizing over sites; used as
     the cross-check for both summation methods.
     """
-    _check_m(m)
-    return _finite(p.n * _massieu(m, c, p), "log Xi", m, c, p)
+    check_m(m)
+    return finite(p.n * _massieu(m, c, p), "log Xi", m=m, beta=c.beta, xi=c.xi, Jz=p.jz, k=p.k)
 
 
 def log_partition(m: float, c: ConjugateCoords, p: ModelParams,
@@ -170,8 +164,8 @@ def evaluate(m: float, c: ConjugateCoords, p: ModelParams,
     u_numeric = -_central(
         lambda beta: log_partition(m, ConjugateCoords(beta=beta, xi=c.xi), p, method), c.beta)
     # lx is finite, so a finite s1 has finite moments
-    s1 = _finite(p.k * lx + p.k * c.beta * u_numeric + p.k * c.xi * m_numeric,
-                 "S_entropy1", m, c, p)
+    s1 = finite(p.k * lx + p.k * c.beta * u_numeric + p.k * c.xi * m_numeric,
+                "S_entropy1", m=m, beta=c.beta, xi=c.xi, Jz=p.jz, k=p.k)
     return OracleResult(log_xi=lx, m_numeric=m_numeric, u_numeric=u_numeric, s_entropy1=s1)
 
 

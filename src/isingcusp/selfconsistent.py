@@ -28,7 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .curve import s_of_m
-from .model import ConjugateCoords, DomainError, ModelParams, check_cells
+from .model import ConjugateCoords, DomainError, ModelParams, check_cells, check_index, finite
 
 # Below |theta| = SEAM, theta - tanh(theta) is its series to theta^15, whose
 # next term is about 1e-17 of the sum at the seam.
@@ -60,11 +60,8 @@ def massieu_per_site(m: float, c: ConjugateCoords, p: ModelParams) -> float:
         raise DomainError(f"massieu_per_site needs beta >= 0, got {c.beta}")
     if not -1.0 <= m <= 1.0:
         raise DomainError(f"massieu_per_site needs |m| <= 1, got {m}")
-    psi = _massieu(m, c, p)
-    if not math.isfinite(psi):
-        raise DomainError(f"Massieu function is not a finite double at m = {m}, "
-                          f"beta = {c.beta}, xi = {c.xi}, Jz = {p.jz}, k = {p.k}")
-    return psi
+    return finite(_massieu(m, c, p), "Massieu function",
+                  m=m, beta=c.beta, xi=c.xi, Jz=p.jz, k=p.k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,10 +152,9 @@ def solve(c: ConjugateCoords, p: ModelParams = ModelParams()) -> RootSet:
     if beta <= 0:
         raise DomainError(f"solver needs beta > 0, got {beta}")
     bjz = beta * p.jz
-    # beta Jz m - xi spans +-(beta Jz + |xi|) over m in [-1, 1]
-    if not math.isfinite(bjz + abs(xi)):
-        raise DomainError(f"beta Jz m - xi overflows at beta = {beta}, "
-                          f"xi = {xi}, Jz = {p.jz}")
+    # beta Jz m - xi spans +-(beta Jz + |xi|) over m in [-1, 1]; no point
+    # named, as each keyword costs about 2% of a solve
+    finite(bjz + abs(xi), "beta Jz + |xi|")
 
     # f(-1) <= 0 <= f(1), so whenever the middle piece decreases one of
     # the outer pieces changes sign and a stable root exists
@@ -223,12 +219,9 @@ def zero_field_branch(beta_min: float, beta_max: float, n: int,
         raise DomainError("beta range must be positive")
     if not beta_min < beta_max:
         raise DomainError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
-    if n < 2:
-        raise DomainError(f"need at least 2 samples, got {n}")
+    n = check_cells(check_index(n, "sample count", 2))
     # lambda = k beta must stay finite up to beta_max
-    if not math.isfinite(p.k * beta_max):
-        raise DomainError(f"k beta_max = {p.k * beta_max} is not a finite double")
-    check_cells(n)
+    finite(p.k * beta_max, "k beta_max", beta_max=beta_max, k=p.k)
     beta = np.linspace(beta_min, beta_max, n)
     m, s = np.empty(n), np.empty(n)
     # row by row, so the first row that solve or s_of_m rejects raises its

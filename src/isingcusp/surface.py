@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import DomainError, ModelParams, check_cells
+from .model import DomainError, ModelParams, check_cells, check_index, finite
 
 # Strict interior guard for the atanh argument.
 EPS_DOM = 1e-12
@@ -48,11 +48,6 @@ def in_domain(u: float, m: float, p: ModelParams) -> bool:
     except DomainError:
         return False
     return True
-
-
-def _unrepresentable(u: float, m: float) -> DomainError:
-    # extreme (U, M, k, Jz) overflow the products, or meet inf * 0
-    return DomainError(f"result is not representable at (U, M) = ({u}, {m})")
 
 
 # The formulas below take lg = log1p(-x^2) and at = atanh(x) of
@@ -86,10 +81,8 @@ def _hj(u, m, at, ds_du, ds_dm, p: ModelParams):
 def entropy(u: float, m: float, p: ModelParams, a: float = 0.0) -> float:
     """Entropy at state (U, M) on the branch labeled by a."""
     lg, at = _logs_of(u, m, p)
-    s = _entropy(u, m, lg, at, p, a)
-    if not math.isfinite(s):
-        raise _unrepresentable(u, m)
-    return s
+    # extreme (U, M, k, Jz) overflow the products, or meet inf * 0
+    return finite(_entropy(u, m, lg, at, p, a), "entropy", U=u, M=m)
 
 
 def gradient(u: float, m: float, p: ModelParams, a: float = 0.0):
@@ -98,10 +91,8 @@ def gradient(u: float, m: float, p: ModelParams, a: float = 0.0):
     try:
         ds_du, ds_dm = _gradient(u, m, lg, at, p, a)
     except ZeroDivisionError:  # U^2 underflows to 0
-        raise _unrepresentable(u, m) from None
-    if not (math.isfinite(ds_du) and math.isfinite(ds_dm)):
-        raise _unrepresentable(u, m)
-    return ds_du, ds_dm
+        ds_du = ds_dm = math.inf
+    return finite(ds_du, "dS/dU", U=u, M=m), finite(ds_dm, "dS/dM", U=u, M=m)
 
 
 def hj_residual(u: float, m: float, p: ModelParams, a: float = 0.0) -> float:
@@ -111,10 +102,8 @@ def hj_residual(u: float, m: float, p: ModelParams, a: float = 0.0) -> float:
         # a non-finite derivative leaves the residual non-finite
         r = _hj(u, m, at, *_gradient(u, m, lg, at, p, a), p)
     except ZeroDivisionError:  # U^2 or k M underflows to 0
-        raise _unrepresentable(u, m) from None
-    if not math.isfinite(r):
-        raise _unrepresentable(u, m)
-    return r
+        r = math.inf
+    return finite(r, "HJ residual", U=u, M=m)
 
 
 def state_columns(u, m, p: ModelParams, a=0.0):
@@ -173,12 +162,10 @@ def surface_grid(u_range, m_range, nu: int, nm: int,
     Cells outside the domain, or whose S is not representable, are
     masked, not dropped.
     """
-    if nu < 2 or nm < 2:
-        raise DomainError(f"grid needs at least 2 points per axis, got {nu}x{nm}")
+    nu, nm = check_index(nu, "U grid points", 2), check_index(nm, "M grid points", 2)
     # a finite span needs finite ends and keeps every grid point finite
-    if not all(math.isfinite(hi - lo) for lo, hi in (u_range, m_range)):
-        raise DomainError(f"grid ranges and their spans must be finite, got U {u_range}, "
-                          f"M {m_range}")
+    for name, (lo, hi) in (("U", u_range), ("M", m_range)):
+        finite(hi - lo, f"{name} span", U=u_range, M=m_range)
     check_cells(nu * nm)
     with np.errstate(all="ignore"):
         u = np.repeat(np.linspace(u_range[0], u_range[1], nu), nm)

@@ -49,9 +49,8 @@ def random_states(rng: random.Random, count: int, p: ModelParams):
     return u, m
 
 
-def check_hj_residual(p: ModelParams, seed: int) -> CheckResult:
-    rng, count = _seeded(seed), 1000
-    us, ms = random_states(rng, count, p)
+def check_hj_residual(p: ModelParams, us: np.ndarray, ms: np.ndarray) -> CheckResult:
+    count = len(us)
     # every state under each a in (0, 1, -3), scored in one array call
     branches = (0.0, 1.0, -3.0)
     u, m = np.tile(us, len(branches)), np.tile(ms, len(branches))
@@ -62,9 +61,8 @@ def check_hj_residual(p: ModelParams, seed: int) -> CheckResult:
                        f"max scaled residual {worst:.3e} over {count} states, a in (0, 1, -3)")
 
 
-def check_gradient_fd(p: ModelParams, seed: int) -> CheckResult:
-    rng, count = _seeded(seed), 1000
-    us, ms = random_states(rng, count, p)
+def check_gradient_fd(p: ModelParams, us: np.ndarray, ms: np.ndarray) -> CheckResult:
+    count = len(us)
     hu, hm = 1e-6 * np.abs(us), 1e-6 * np.abs(ms)
     # the states and their four central-difference neighbours, in one array call
     s, du, dm, _ = surface.state_columns(np.concatenate((us, us + hu, us - hu, us, us)),
@@ -157,9 +155,11 @@ def check_ideal_gas(seed: int) -> CheckResult:
 
 
 def run_all(p: ModelParams, seed: int = 0) -> list[CheckResult]:
+    # the two surface checks score the same 1000 states
+    states = random_states(_seeded(seed), 1000, p)
     return [
-        check_hj_residual(p, seed),
-        check_gradient_fd(p, seed),
+        check_hj_residual(p, *states),
+        check_gradient_fd(p, *states),
         check_curve_identity(p),
         check_oracle(p),
         check_entropy_offset(p),

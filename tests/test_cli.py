@@ -117,6 +117,27 @@ def test_exponents_output(tmp_path):
     assert rows["delta"]["window_max"] == 1e-2
 
 
+@pytest.mark.parametrize("argv", [["exponents"],
+                                  ["exponents", "--m-min", "1e-4", "--m-max", "1e-3"]],
+                         ids=["default", "1e-4"])
+def test_exponents_bytes_do_not_depend_on_the_blas_kernel(argv):
+    # OPENBLAS_CORETYPE makes numpy's OpenBLAS take one CPU's kernels; the
+    # fit calls no BLAS, so each child prints the default child's bytes.
+    # Where numpy's BLAS is not OpenBLAS the variable is ignored and the
+    # three runs agree trivially.
+    def run(coretype):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run([sys.executable, "-m", "isingcusp", *argv], capture_output=True,
+                              env=env, check=True)
+        return proc.stdout
+
+    default = run(None)
+    for coretype in ("Haswell", "Prescott"):
+        assert run(coretype) == default, coretype
+
+
 def test_zero_field_output(tmp_path):
     code, data = run_to_file(tmp_path, "z.csv", ["zero-field"])
     assert code == 0

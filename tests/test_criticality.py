@@ -1,12 +1,13 @@
 """Susceptibility, specific heat, jacobian shrink rate, exponent fits."""
 import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from isingcusp import (DomainError, ModelParams, beta_of_m, curve_point, fit_exponents,
-                       jacobian_norm, reduced_temperature, specific_heat,
+from isingcusp import (DomainError, ModelParams, beta_of_m, criticality, curve_point,
+                       fit_exponents, jacobian_norm, reduced_temperature, specific_heat,
                        susceptibility)
 
 P = ModelParams()
@@ -183,13 +184,13 @@ M_EDGE = 0.9999999999999999   # the largest double below 1
 
 
 @pytest.mark.parametrize("f, m, p, match", [
-    (beta_of_m, M_EDGE, ModelParams(jz=1.2354609171652692e-307), "beta overflows"),
-    (reduced_temperature, M_EDGE, ModelParams(jz=1.2354609171652692e-307), "beta overflows"),
-    (jacobian_norm, -M_EDGE, ModelParams(jz=1e-300), "jacobian norm overflows"),
+    (beta_of_m, M_EDGE, ModelParams(jz=1.2354609171652692e-307), "beta is not a finite double"),
+    (reduced_temperature, M_EDGE, ModelParams(jz=1.2354609171652692e-307), "beta is not a finite double"),
+    (jacobian_norm, -M_EDGE, ModelParams(jz=1e-300), "jacobian norm is not a finite double"),
     (specific_heat, -M_EDGE, ModelParams(jz=2.655706269555544e168, k=1e308),
-     "specific heat overflows"),
+     "specific heat is not a finite double"),
     (curve_point, -M_EDGE, ModelParams(jz=2.655706269555544e168, k=1e308),
-     "specific heat overflows"),
+     "specific heat is not a finite double"),
 ], ids=["beta_of_m", "reduced_temperature", "jacobian_norm", "specific_heat", "curve_point"])
 def test_overflow_is_a_domain_error(f, m, p, match):
     # |m| < 1, yet the result exceeds the largest double at these Jz and k
@@ -207,6 +208,26 @@ def test_fit_exponents_window():
     for entry in (rep.delta, rep.beta_exp, rep.gamma):
         assert entry.residual < 1e-2
         assert entry.window == (1e-3, 1e-2)
+
+
+def test_loglog_fit_matches_exact_rationals(monkeypatch):
+    # each fit of the default window against the same logs in exact
+    # rational arithmetic: the slope is within 2 ulps; each residual is
+    # about 1e-6 of the logs it is formed from, which costs about 20 of its
+    # 53 bits, so the rms is within 2^20 ulps
+    fit, windows = criticality._loglog_slope, []
+    monkeypatch.setattr(criticality, "_loglog_slope",
+                        lambda x, y: windows.append((x, y)) or fit(x, y))
+    fit_exponents(P)
+    assert len(windows) == 3
+    for x, y in windows:
+        slope, rms = fit(x, y)
+        lx, ly = ([Fraction(math.log(abs(v))) for v in z.tolist()] for z in (x, y))
+        dx, dy = [v - sum(lx) / len(lx) for v in lx], [v - sum(ly) / len(ly) for v in ly]
+        exact = sum(a * b for a, b in zip(dx, dy)) / sum(a * a for a in dx)
+        exact_rms = math.sqrt(sum((b - exact * a) ** 2 for a, b in zip(dx, dy)) / len(dx))
+        assert abs(Fraction(slope) - exact) <= 2 * math.ulp(float(exact))
+        assert abs(rms - exact_rms) <= 2 ** 20 * math.ulp(exact_rms)
 
 
 def test_fit_rejects_bad_windows():

@@ -25,8 +25,9 @@ from isingcusp.model import MAX_CELLS
 PLAIN = {"ALPHA_TOL", "M_SWITCH", "DomainError", "SizeError", "CheckResult", "CurveSample",
          "ExponentReport", "OracleResult", "Root", "RootSet"}
 
-# table sizes: small, degenerate, or over the cap (raised before allocating)
-COUNT = st.integers(-1, 6) | st.integers(MAX_CELLS + 1, 2 ** 62)
+# table sizes: small, degenerate, over the cap (raised before allocating), and
+# not integers
+COUNT = st.integers(-1, 6) | st.integers(MAX_CELLS + 1, 2 ** 62) | st.sampled_from([2.5, 2.0, True])
 # oracle sizes: small, just over the enumeration cap, over the binomial cap,
 # and not integers
 SITES = st.integers(1, 8) | st.sampled_from([21, 10 ** 6 + 1, 1.5, 2.0, True])
@@ -151,10 +152,8 @@ def test_export_is_finite_or_raises(name, data):
 @pytest.mark.parametrize("seed", [-1, True, 1.5])
 def test_bad_seed_is_a_domain_error(seed):
     # Random(-1) would silently replay seed 1's draws
-    p = ModelParams(n=2)
-    for check in (isingcusp.run_all, verify.check_hj_residual, verify.check_gradient_fd):
-        with pytest.raises(DomainError, match="seed"):
-            check(p, seed)
+    with pytest.raises(DomainError, match="seed"):
+        isingcusp.run_all(ModelParams(n=2), seed)
     with pytest.raises(DomainError, match="seed"):
         verify.check_ideal_gas(seed)
 
@@ -163,6 +162,32 @@ def test_bad_seed_is_a_domain_error(seed):
 def test_site_count_is_a_positive_integer(n):
     with pytest.raises(DomainError, match="site count N"):
         ModelParams(n=n)
+
+
+@pytest.mark.parametrize("f, args", [
+    (isingcusp.sample_curve, (-0.5, 0.5, 2.5)),
+    (isingcusp.sample_curve, (-0.5, 0.5, True)),
+    (isingcusp.zero_field_branch, (0.5, 2.0, 3.0)),
+    (isingcusp.fit_exponents, (ModelParams(), 1e-3, 1e-2, 7.5)),
+    (isingcusp.surface_grid, ((-1, 1), (-2, 2), 2.5, 3)),
+    (isingcusp.surface_grid, ((-1, 1), (-2, 2), 3, True)),
+], ids=["sample_curve-2.5", "sample_curve-True", "zero_field_branch-3.0", "fit_exponents-7.5",
+        "surface_grid-nu-2.5", "surface_grid-nm-True"])
+def test_table_count_is_an_integer(f, args):
+    # numpy raised TypeError for 2.5, and True counted as 1
+    with pytest.raises(DomainError, match="must be an integer"):
+        f(*args)
+
+
+@pytest.mark.parametrize("cls, field", [
+    (ModelParams, "jz"), (ModelParams, "k"), (ConjugateCoords, "beta"), (ConjugateCoords, "xi"),
+    (GasState, "u"), (GasState, "v"), (GasState, "r"), (GasState, "s0")])
+def test_int_beyond_the_double_range_is_a_domain_error(cls, field):
+    # 10**400 has no double: OverflowError escaped from arithmetic, or the
+    # value was kept
+    given = {ModelParams: {}, ConjugateCoords: {"beta": 1.0}, GasState: {"u": 1.0, "v": 1.0}}
+    with pytest.raises(DomainError, match="not a finite double"):
+        cls(**{**given[cls], field: 10 ** 400})
 
 
 @pytest.mark.parametrize("f", [isingcusp.log_partition, isingcusp.evaluate])

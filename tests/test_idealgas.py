@@ -65,5 +65,5 @@ def test_rejects_nonpositive_state():
     with pytest.raises(DomainError):
         GasState(u=1.0, v=1.0, r=0.0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError, match="must be finite"):
+        with pytest.raises(DomainError, match="not a finite double"):
             GasState(u=1.0, v=1.0, s0=bad)

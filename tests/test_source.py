@@ -40,3 +40,21 @@ def test_newton_residual_is_defect():
                and ast.dump(n.comparators[0]) == ast.dump(ast.Name("theta", ast.Load()))]
     assert [type(op) for op in seam.ops] == [ast.Lt, ast.Lt]
     assert (ast.literal_eval(seam.left), ast.literal_eval(seam.comparators[1])) == (-SEAM, SEAM)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_finite_guard_has_one_home(path):
+    # model.finite is the one check that a scalar is a finite double; the
+    # private copies it replaced must not come back
+    if path.name == "model.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    math_name = ast.dump(ast.Name("math", ast.Load()))
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and node.attr == "isfinite" and ast.dump(node.value) == math_name]
+    imports = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module == "math" and any(a.name == "isfinite" for a in node.names)]
+    copies = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              and node.name in {"_finite", "_unrepresentable", "_check_finite"}]
+    assert not calls + imports, f"math.isfinite in {path.name} at lines {calls + imports}"
+    assert not copies, f"{path.name} defines {copies}"

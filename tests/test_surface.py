@@ -139,7 +139,7 @@ def test_non_finite_states_are_outside_the_domain():
     # coordinates, which the grid returned before it raised
     for u_range, m_range in (((-1.0, 1.0), (-8.98846567431158e307, 8.98846567431158e307)),
                              ((-1e308, 1e308), (-2.0, 2.0))):
-        with pytest.raises(DomainError, match="spans must be finite"):
+        with pytest.raises(DomainError, match="span is not a finite double"):
             surface_grid(u_range, m_range, 3, 3, P)
 
 

@@ -3,7 +3,8 @@
     python3 tools/bytediff.py REV [ARGV ...]
 
 Runs the README command set (each data command in CSV and in JSON), the
-`solve`, `zero-field` and `verify` lines of ROOT_COMMANDS, the scripts in demos/
+`solve`, `zero-field`, `verify`, `idealgas` and `exponents` lines of
+ROOT_COMMANDS, the scripts in demos/
 and each extra ARGV, one quoted command line such as "surface --samples
 301" (@FILE reads one command line per line). Each runs in this process, through `isingcusp.cli.main` or as a script: once
 with REV's src/ and demos/, extracted by `git archive` into a temporary
@@ -42,7 +43,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA_COMMANDS = {"curve", "surface", "solve", "exponents", "zero-field"}
 # one command per branch of the root finder, whose CSV %.17g shows every bit of
 # m and psi, verify runs whose oracle check sums a binomial table at small N or
-# enumerates in one or two blocks, and an ideal-gas draw
+# enumerates in one or two blocks, an ideal-gas draw, and exponent fits on
+# each side of the series seam
 ROOT_COMMANDS = [
     "solve --beta 0.5",                                        # one root
     "solve --beta 1.2 --xi 0.05",                              # three roots
@@ -68,6 +70,8 @@ ROOT_COMMANDS = [
     "verify --n 16",                                           # 2^16: exactly one block
     "verify --n 17",                                           # 2^17: two blocks
     "idealgas --seed 3",                                       # draws at a nonzero seed
+    "exponents --m-min 1e-4 --m-max 1e-3",                     # the fit below the m = 0.02 seam
+    "exponents --m-min 0.05 --m-max 0.5",                      # and above it
 ]
 
 
