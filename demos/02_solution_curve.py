@@ -6,9 +6,10 @@ critical point. Near m = 0 both components flatten out: the Jacobian
 norm of the map m -> (beta, xi) goes to zero linearly, which is the
 defining property of the cusp.
 """
-import numpy as np
+import math
 
 from isingcusp import ModelParams, jacobian_norm, sample_curve
+from isingcusp.model import log_grid
 
 p = ModelParams()
 
@@ -20,10 +21,10 @@ for s in sample_curve(-0.9, 0.9, 13, "linear", p):
 
 print()
 print("Jacobian norm |(dbeta/dm, dxi/dm)| vanishing toward the cusp")
-for m in np.geomspace(1e-1, 1e-4, 4):
-    print(f"  m = {m:8.1e}: {jacobian_norm(float(m), p):.6e}")
+for m in log_grid(1e-1, 1e-4, 4).tolist():
+    print(f"  m = {m:8.1e}: {jacobian_norm(m, p):.6e}")
 
 # the identity beta*Jz*m - xi = atanh(m) pins both components at once
-worst = max(abs(s.beta * p.jz * s.m - s.xi - np.arctanh(s.m))
+worst = max(abs(s.beta * p.jz * s.m - s.xi - math.atanh(s.m))
             for s in sample_curve(-0.95, 0.95, 201, "linear", p))
 print(f"\nidentity beta*Jz*m - xi = atanh(m): max deviation {worst:.3e}")

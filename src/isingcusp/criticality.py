@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import M_SWITCH, MATH_EACH, _beta_xi, _bjz_excess, beta_of_m
-from .model import DomainError, ModelParams, check_cells, check_index, check_m, finite
+from .curve import M_SWITCH, _beta_xi, _bjz_excess, beta_of_m
+from .model import (MATH_EACH, DomainError, ModelParams, check_cells, check_index, check_m, finite,
+                    log_grid)
 
 # Specific-heat flatness threshold for the alpha = 0 flag.
 ALPHA_TOL = 1e-3
@@ -186,7 +187,7 @@ def fit_exponents(p: ModelParams, m_min: float = 1e-3, m_max: float = 1e-2,
         raise DomainError("window straddles the series seam at "
                           f"{M_SWITCH}; fits must stay on one branch")
     window = (m_min, m_max)
-    ms = np.geomspace(m_min, m_max, n_points)
+    ms = log_grid(m_min, m_max, n_points)
     with np.errstate(all="ignore"):
         betas, xis = _beta_xi(ms, p)
         bjz = betas * p.jz

@@ -15,8 +15,8 @@ Each series and closed form is written once, on floats or float64
 arrays. The scalar functions check their argument and pick a branch;
 sample_curve evaluates whole columns and picks with np.where at the
 seams. The closed forms take the module that supplies log1p and atanh:
-math for a scalar, and MATH_EACH, math applied to each element, for a
-column, so a column is bitwise equal to the scalar values.
+math for a scalar, and model.MATH_EACH, math applied to each element, for
+a column, so a column is bitwise equal to the scalar values.
 """
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import (ConjugateCoords, DomainError, ModelParams, check_cells, check_index, check_m,
-                    field_coords, finite, to_field_coords)
+from .model import (MATH_EACH, ConjugateCoords, DomainError, ModelParams, check_cells, check_index,
+                    check_m, field_coords, finite, log_grid, to_field_coords)
 
 # Series/closed-form seam. At 0.02 the two branches of xi agree to ~1e-13
 # relative; at 1e-3 the closed form is already off by ~4e-10.
@@ -35,17 +35,6 @@ M_SWITCH = 0.02
 
 # Grid values this close to zero are treated as the exact m=0 limit.
 M_ZERO_SNAP = 1e-12
-
-
-def _each(f):
-    return lambda x: np.fromiter(map(f, x.tolist()), float, x.size)
-
-
-# numpy's log1p and arctanh differ from math's by 1-3 ulps on many inputs,
-# and the cancellation in xi near the seam magnifies that ~1e4 times. Per
-# element math costs ~0.1 us against numpy's ~5 ns, small beside the
-# ~0.5 us that formatting each output cell costs.
-MATH_EACH = SimpleNamespace(log1p=_each(math.log1p), atanh=_each(math.atanh))
 
 
 def _bjz_excess(y):
@@ -203,7 +192,7 @@ def sample_curve(m_min: float, m_max: float, n_samples: int,
     elif spacing == "log":
         if m_min <= 0:
             raise DomainError("log spacing requires m_min > 0")
-        grid = np.geomspace(m_min, m_max, n_samples)
+        grid = log_grid(m_min, m_max, n_samples)
     else:
         raise DomainError(f"unknown spacing {spacing!r}")
     with np.errstate(all="ignore"):

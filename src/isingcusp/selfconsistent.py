@@ -220,7 +220,9 @@ def zero_field_branch(beta_min: float, beta_max: float, n: int,
     if not beta_min < beta_max:
         raise DomainError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
     n = check_cells(check_index(n, "sample count", 2))
-    # lambda = k beta must stay finite up to beta_max
+    # lambda = k beta must stay finite up to beta_max; an int beta_max too
+    # large for a double would escape the product as OverflowError
+    finite(beta_max, "beta_max")
     finite(p.k * beta_max, "k beta_max", beta_max=beta_max, k=p.k)
     beta = np.linspace(beta_min, beta_max, n)
     m, s = np.empty(n), np.empty(n)

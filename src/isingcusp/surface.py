@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import DomainError, ModelParams, check_cells, check_index, finite
+from .model import MATH_EACH, DomainError, ModelParams, check_cells, check_index, finite
 
 # Strict interior guard for the atanh argument.
 EPS_DOM = 1e-12
@@ -30,6 +30,9 @@ def _x(u, m, p: ModelParams):
 
 
 def _x_of(u: float, m: float, p: ModelParams) -> float:
+    # an int too large for a double would escape the arithmetic as OverflowError
+    finite(u, "U")
+    finite(m, "M")
     # Jz M is 0 at M = 0 and where the product underflows
     if p.jz * m == 0.0:
         raise DomainError(f"Jz M = 0 is outside the entropy domain (M = {m})")
@@ -51,17 +54,13 @@ def in_domain(u: float, m: float, p: ModelParams) -> bool:
 
 
 # The formulas below take lg = log1p(-x^2) and at = atanh(x) of
-# x = 2U/(Jz M) and work on floats or arrays; the scalar entry points check
-# the domain and pass Python floats, so their arithmetic raises no numpy
-# warning, and the column callers mask the domain.
+# x = 2U/(Jz M) and work on floats or arrays. _logs takes them from math on
+# a float and from MATH_EACH on a column, so a column equals the scalar
+# values bit for bit; the scalar entry points check the domain, and the
+# column callers evaluate only states inside it, where math.atanh is defined.
 
-def _logs(x):
-    return np.log1p(-x * x), np.arctanh(x)
-
-
-def _logs_of(u: float, m: float, p: ModelParams):
-    lg, at = _logs(_x_of(u, m, p))
-    return float(lg), float(at)
+def _logs(x, lib=math):
+    return lib.log1p(-x * x), lib.atanh(x)
 
 
 def _entropy(u, m, lg, at, p: ModelParams, a):
@@ -80,14 +79,14 @@ def _hj(u, m, at, ds_du, ds_dm, p: ModelParams):
 
 def entropy(u: float, m: float, p: ModelParams, a: float = 0.0) -> float:
     """Entropy at state (U, M) on the branch labeled by a."""
-    lg, at = _logs_of(u, m, p)
+    lg, at = _logs(_x_of(u, m, p))
     # extreme (U, M, k, Jz) overflow the products, or meet inf * 0
     return finite(_entropy(u, m, lg, at, p, a), "entropy", U=u, M=m)
 
 
 def gradient(u: float, m: float, p: ModelParams, a: float = 0.0):
     """Analytic (dS/dU, dS/dM); equals (k beta, k xi) on the solution curve."""
-    lg, at = _logs_of(u, m, p)
+    lg, at = _logs(_x_of(u, m, p))
     try:
         ds_du, ds_dm = _gradient(u, m, lg, at, p, a)
     except ZeroDivisionError:  # U^2 underflows to 0
@@ -97,7 +96,7 @@ def gradient(u: float, m: float, p: ModelParams, a: float = 0.0):
 
 def hj_residual(u: float, m: float, p: ModelParams, a: float = 0.0) -> float:
     """Residual of the Hamilton-Jacobi equation at (U, M); zero to round-off."""
-    lg, at = _logs_of(u, m, p)
+    lg, at = _logs(_x_of(u, m, p))
     try:
         # a non-finite derivative leaves the residual non-finite
         r = _hj(u, m, at, *_gradient(u, m, lg, at, p, a), p)
@@ -117,7 +116,7 @@ def state_columns(u, m, p: ModelParams, a=0.0):
         x = _x(u, m, p)
         if not (np.abs(x) < 1.0 - EPS_DOM).all():
             raise DomainError("a state lies outside the entropy domain |2U/(JzM)| < 1")
-        lg, at = _logs(x)
+        lg, at = _logs(x, MATH_EACH)
         ds_du, ds_dm = _gradient(u, m, lg, at, p, a)
         cols = (_entropy(u, m, lg, at, p, a), ds_du, ds_dm, _hj(u, m, at, ds_du, ds_dm, p))
     if not all(np.isfinite(c).all() for c in cols):
@@ -171,6 +170,9 @@ def surface_grid(u_range, m_range, nu: int, nm: int,
         u = np.repeat(np.linspace(u_range[0], u_range[1], nu), nm)
         m = np.tile(np.linspace(m_range[0], m_range[1], nm), nu)
         x = _x(u, m, p)
-        s = _entropy(u, m, *_logs(x), p, a)
-        valid = (p.jz * m != 0.0) & (u != 0.0) & (np.abs(x) < 1.0 - EPS_DOM) & np.isfinite(s)
-    return SurfaceGrid(u=u, m=m, s=np.where(valid, s, np.nan), valid=valid)
+        inside = (p.jz * m != 0.0) & (u != 0.0) & (np.abs(x) < 1.0 - EPS_DOM)
+        s = np.full(u.size, np.nan)
+        s[inside] = _entropy(u[inside], m[inside], *_logs(x[inside], MATH_EACH), p, a)
+    valid = np.isfinite(s)
+    s[~valid] = np.nan
+    return SurfaceGrid(u=u, m=m, s=s, valid=valid)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import criticality, idealgas, oracle, surface
 from .curve import beta_of_m, xi_of_m
-from .model import ConjugateCoords, ModelParams, check_index
+from .model import MATH_EACH, ConjugateCoords, ModelParams, check_index, log_grid
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def check_hj_residual(p: ModelParams, us: np.ndarray, ms: np.ndarray) -> CheckRe
     branches = (0.0, 1.0, -3.0)
     u, m = np.tile(us, len(branches)), np.tile(ms, len(branches))
     *_, res = surface.state_columns(u, m, p, np.repeat(branches, count))
-    rhs = np.arctanh(2.0 * u / (p.jz * m))
+    rhs = MATH_EACH.atanh(2.0 * u / (p.jz * m))
     worst = float(np.max(np.abs(res) / (1.0 + np.abs(rhs))))
     return CheckResult("hj-residual", worst < 1e-10,
                        f"max scaled residual {worst:.3e} over {count} states, a in (0, 1, -3)")
@@ -128,12 +128,12 @@ def check_exponents(p: ModelParams) -> CheckResult:
 def check_cusp(p: ModelParams) -> CheckResult:
     jn = criticality.jacobian_norm(1e-3, p)
     scale_ok = abs(jn - 1e-3 / p.jz) < 0.05e-3 / p.jz
-    grid = np.geomspace(1e-4, 1e-1, 25)
+    grid = log_grid(1e-4, 1e-1, 25)
     norms = [criticality.jacobian_norm(float(m), p) for m in grid]
     monotone = all(a < b for a, b in zip(norms, norms[1:]))
     upper = min(0.99e-2 * p.jz, 0.9)
     small = all(criticality.jacobian_norm(float(m), p) < 1e-2
-                for m in np.geomspace(1.1e-4, upper, 10))
+                for m in log_grid(1.1e-4, upper, 10))
     ok = scale_ok and monotone and small
     return CheckResult("cusp-jacobian", ok,
                        f"norm(1e-3) = {jn:.6e}, monotone on [1e-4, 1e-1]: {monotone}")

@@ -10,6 +10,7 @@ from isingcusp import (ConjugateCoords, DomainError, M_SWITCH, ModelParams,
                        beta_of_m, curve_point, s_of_m,
                        sample_curve, to_field_coords, u_of_m, xi_of_m)
 from isingcusp.curve import _beta_closed, _beta_series, _xi_closed, _xi_series
+from isingcusp.model import log_grid
 
 P = ModelParams()
 
@@ -185,7 +186,7 @@ def test_sample_curve_columns_equal_scalar_points(args, p):
     m = np.abs(table.m)
     # the grid spans the m = 0 row and both seams, |m| = 0.02 and 0.1 (D/y^2)
     assert (m == 0).any() and (m < 0.02).any() and ((m >= 0.02) & (m < 0.1)).any() and (m > 0.1).any()
-    grid = np.linspace(*args[:3]) if args[3] == "linear" else np.geomspace(*args[:3])
+    grid = np.linspace(*args[:3]) if args[3] == "linear" else log_grid(*args[:3])
     # the columns round exactly like the scalar path: equal reprs, signed zeros included
     points = [repr(curve_point(float(m), p)) for m in grid]
     assert [repr(table[i]) for i in range(len(grid))] == points

@@ -179,15 +179,25 @@ def test_table_count_is_an_integer(f, args):
         f(*args)
 
 
-@pytest.mark.parametrize("cls, field", [
+@pytest.mark.parametrize("f, field", [
     (ModelParams, "jz"), (ModelParams, "k"), (ConjugateCoords, "beta"), (ConjugateCoords, "xi"),
-    (GasState, "u"), (GasState, "v"), (GasState, "r"), (GasState, "s0")])
-def test_int_beyond_the_double_range_is_a_domain_error(cls, field):
+    (GasState, "u"), (GasState, "v"), (GasState, "r"), (GasState, "s0"),
+    *((fn, arg) for fn in (isingcusp.entropy, isingcusp.gradient, isingcusp.hj_residual,
+                          isingcusp.in_domain) for arg in ("u", "m")),
+    (isingcusp.zero_field_branch, "beta_max")])
+def test_int_beyond_the_double_range_is_a_domain_error(f, field):
     # 10**400 has no double: OverflowError escaped from arithmetic, or the
-    # value was kept
-    given = {ModelParams: {}, ConjugateCoords: {"beta": 1.0}, GasState: {"u": 1.0, "v": 1.0}}
+    # value was kept; in_domain answers False
+    state = {"u": -0.125, "m": 1.0, "p": ModelParams()}
+    given = {ModelParams: {}, ConjugateCoords: {"beta": 1.0}, GasState: {"u": 1.0, "v": 1.0},
+             isingcusp.entropy: state, isingcusp.gradient: state, isingcusp.hj_residual: state,
+             isingcusp.in_domain: state, isingcusp.zero_field_branch: {"beta_min": 0.5, "n": 3}}
+    kwargs = {**given[f], field: 10 ** 400}
+    if f is isingcusp.in_domain:
+        assert f(**kwargs) is False
+        return
     with pytest.raises(DomainError, match="not a finite double"):
-        cls(**{**given[cls], field: 10 ** 400})
+        f(**kwargs)
 
 
 @pytest.mark.parametrize("f", [isingcusp.log_partition, isingcusp.evaluate])

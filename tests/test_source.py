@@ -58,3 +58,28 @@ def test_finite_guard_has_one_home(path):
               and node.name in {"_finite", "_unrepresentable", "_check_finite"}]
     assert not calls + imports, f"math.isfinite in {path.name} at lines {calls + imports}"
     assert not copies, f"{path.name} defines {copies}"
+
+
+# numpy picks these kernels by CPU at run time, and they round differently
+# from libm and from one CPU to the next
+NUMPY_TRANSCENDENTALS = {"log", "log10", "log1p", "exp", "expm1", "arctanh", "tanh", "power",
+                         "geomspace", "logspace"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_printed_transcendentals_come_from_libm(path):
+    # every value that reaches stdout takes its logs, atanhs and powers from
+    # math (model.MATH_EACH and model.log_grid on columns); only the oracle's
+    # sums keep numpy's vector exp and log, since 2^20 libm calls per
+    # enumeration would multiply verify's time
+    if path.name == "oracle.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    np_name = ast.dump(ast.Name("np", ast.Load()))
+    calls = [f"np.{node.func.attr} at line {node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in NUMPY_TRANSCENDENTALS and ast.dump(node.func.value) == np_name]
+    imports = [f"{a.name} at line {node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+               for a in node.names if a.name in NUMPY_TRANSCENDENTALS]
+    assert not calls + imports, f"numpy transcendentals in {path.name}: {calls + imports}"

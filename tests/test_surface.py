@@ -234,5 +234,5 @@ def test_surface_grid_equals_scalar_entropy(u_range, m_range, n, p, a):
             except DomainError:
                 assert not cell.valid and cell.s is None
             else:
-                # the same numpy ufuncs on the same operands: equal bits
+                # the same libm calls on the same operands: equal bits
                 assert cell.valid and cell.s == s

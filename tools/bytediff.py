@@ -3,12 +3,13 @@
     python3 tools/bytediff.py REV [ARGV ...]
 
 Runs the README command set (each data command in CSV and in JSON), the
-`solve`, `zero-field`, `verify`, `idealgas` and `exponents` lines of
-ROOT_COMMANDS, the scripts in demos/
-and each extra ARGV, one quoted command line such as "surface --samples
-301" (@FILE reads one command line per line). Each runs in this process, through `isingcusp.cli.main` or as a script: once
-with REV's src/ and demos/, extracted by `git archive` into a temporary
-directory, and once with the working tree's.
+`solve`, `zero-field`, `verify`, `idealgas`, `exponents` and log-spaced
+`curve` lines of ROOT_COMMANDS, the scripts in demos/ and each extra ARGV,
+one quoted command line such as "surface --samples 301" (@FILE reads one
+command line per line). Each runs in this process, through
+`isingcusp.cli.main` or as a script: once with REV's src/ and demos/,
+extracted by `git archive` into a temporary directory, and once with the
+working tree's.
 
 Prints one tab-separated line per differing cell: command, row, column,
 old text, new text, and the distance in ulps when both cells read as
@@ -17,8 +18,13 @@ of a text report, whose columns are its whitespace-separated words. The
 exit code of each command counts as the cell (exit, exit). Exits 0 when
 nothing differs and 1 when a cell does. Stdlib only.
 
-A cell can move by an ulp between machines, since numpy's SIMD ufuncs and
-libm may round differently, so compare two revisions on one machine.
+Every printed value takes its logs, atanhs and powers from libm, not from
+numpy's vector kernels, which numpy picks by CPU at run time. The one
+exception is the numbers on `verify`'s oracle-consistency and
+entropy-offset lines: they are finite differences of the oracle's vector
+exp sums, amplified by 1/STEP, and move with numpy's kernels. libm can
+round a last digit differently too, since glibc picks FMA variants of
+some functions by CPU, so compare two revisions on one machine.
 """
 from __future__ import annotations
 
@@ -43,8 +49,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA_COMMANDS = {"curve", "surface", "solve", "exponents", "zero-field"}
 # one command per branch of the root finder, whose CSV %.17g shows every bit of
 # m and psi, verify runs whose oracle check sums a binomial table at small N or
-# enumerates in one or two blocks, an ideal-gas draw, and exponent fits on
-# each side of the series seam
+# enumerates in one or two blocks, an ideal-gas draw, exponent fits on each
+# side of the series seam, and a log-spaced curve, which no README command
+# samples
 ROOT_COMMANDS = [
     "solve --beta 0.5",                                        # one root
     "solve --beta 1.2 --xi 0.05",                              # three roots
@@ -72,6 +79,7 @@ ROOT_COMMANDS = [
     "idealgas --seed 3",                                       # draws at a nonzero seed
     "exponents --m-min 1e-4 --m-max 1e-3",                     # the fit below the m = 0.02 seam
     "exponents --m-min 0.05 --m-max 0.5",                      # and above it
+    "curve --spacing log --m-min 1e-4 --m-max 0.9 --samples 101",  # a log grid over the seam
 ]
 
 
@@ -85,6 +93,12 @@ def readme_commands() -> list[list[str]]:
             if argv[0] in DATA_COMMANDS:
                 argvs.append(argv + ["--format", "json"])
     return argvs
+
+
+def commands(extra=()) -> list[list[str]]:
+    """The README commands, ROOT_COMMANDS and each extra command line, as argvs."""
+    return readme_commands() + [shlex.split(line) for line in [*ROOT_COMMANDS, *extra]
+                                if line.strip()]
 
 
 def _capture(run) -> tuple[str, str]:
@@ -166,8 +180,7 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="git revision to compare the working tree with")
     parser.add_argument("argv", nargs="*", help="extra command line, one per argument")
     args = parser.parse_args(argv)
-    argvs = readme_commands() + [shlex.split(line) for line in ROOT_COMMANDS + args.argv
-                                 if line.strip()]
+    argvs = commands(args.argv)
     archive = subprocess.run(["git", "archive", "--format=tar", args.rev, "src", "demos"],
                              cwd=ROOT, capture_output=True)
     if archive.returncode:
