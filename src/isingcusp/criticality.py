@@ -12,63 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import M_SWITCH, _beta_xi, _bjz_excess, beta_of_m
-from .model import (MATH_EACH, DomainError, ModelParams, check_cells, check_index, check_m, finite,
-                    log_grid)
+from .curve import (M_SWITCH, _beta_xi, _bjz_excess, _chi, _denominator, _heat, _response,
+                    beta_of_m)
+from .model import (DomainError, ModelParams, check_cells, check_index, check_m, finite, log_grid,
+                    logs)
 
 # Specific-heat flatness threshold for the alpha = 0 flag.
 ALPHA_TOL = 1e-3
-
-# Series/closed-form seam of D / y^2 alone. The closed form cancels to
-# y^2 / 2 and keeps about 2 eps / y relative, 4e-14 at |m| = 0.1; the
-# series below is summed to y^8 / 90, whose next term is 2e-20 relative
-# there.
-D_SWITCH = 0.1
 
 
 def _check_nonzero_m(m: float) -> None:
     if check_m(m) == 0.0:
         raise DomainError(f"need 0 < |m| < 1, got m = {m}")
-
-
-def _d_series(y):
-    # D / y^2 = sum over j >= 2 of y^(j-2) / (j (j-1)); y^2 is never formed,
-    # so it cannot underflow
-    return 0.5 + y * (1.0 / 6.0 + y * (1.0 / 12.0 + y * (1.0 / 20.0 + y * (
-        1.0 / 30.0 + y * (1.0 / 42.0 + y * (1.0 / 56.0 + y * (1.0 / 72.0 + y / 90.0)))))))
-
-
-def _d_closed(y, lib=math):
-    return (y + (1.0 - y) * lib.log1p(-y)) / (y * y)
-
-
-def _denominator(m: float) -> float:
-    """D / y^2, where D = y + (1 - y) log(1 - y) and y = m^2."""
-    y = m * m
-    if abs(m) < D_SWITCH:
-        return _d_series(y)
-    return _d_closed(y)
-
-
-def _chi(beta, m, d):
-    # beta m^2 (1 - m^2) / D from d = D / m^4, dividing m^2 out one m at a
-    # time so no m^4 is formed
-    return beta * (1.0 - m * m) / d / m / m
-
-
-def _heat(bjz, m, d, p: ModelParams):
-    # k L^2 (1 - y) / (2 D) from L / y = beta Jz and d = D / y^2
-    return p.k * bjz * bjz * (1.0 - m * m) / (2.0 * d)
-
-
-def _response(m, beta, p: ModelParams):
-    """chi and C over a float64 array of m; run under np.errstate.
-
-    chi is inf at m = 0, where C takes its limit k.
-    """
-    y = m * m
-    d = np.where(np.abs(m) < D_SWITCH, _d_series(y), _d_closed(y, MATH_EACH))
-    return _chi(beta, m, d), _heat(beta * p.jz, m, d, p)
 
 
 def susceptibility(m: float, p: ModelParams) -> float:
@@ -189,10 +144,11 @@ def fit_exponents(p: ModelParams, m_min: float = 1e-3, m_max: float = 1e-2,
     window = (m_min, m_max)
     ms = log_grid(m_min, m_max, n_points)
     with np.errstate(all="ignore"):
-        betas, xis = _beta_xi(ms, p)
+        lg, at = logs(ms)
+        betas, xis = _beta_xi(ms, lg, at, p)
         bjz = betas * p.jz
         ts = np.where(ms < M_SWITCH, _t_series(ms, bjz), _t_closed(bjz))
-        chis, cs = _response(ms, betas, p)
+        chis, cs = _response(ms, lg, betas, p)
     if np.isinf(chis).any():
         raise DomainError(f"susceptibility overflows in the window; raise m_min = {m_min}")
     if np.isinf(cs).any():

@@ -14,9 +14,9 @@ M_SWITCH both beta and xi are evaluated by their power series.
 Each series and closed form is written once, on floats or float64
 arrays. The scalar functions check their argument and pick a branch;
 sample_curve evaluates whole columns and picks with np.where at the
-seams. The closed forms take the module that supplies log1p and atanh:
-math for a scalar, and model.MATH_EACH, math applied to each element, for
-a column, so a column is bitwise equal to the scalar values.
+seams. The closed forms take lg = log1p(-m^2) and at = atanh(m) from
+model.logs, once per scalar or column, so a column is bitwise equal to
+the scalar values.
 """
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import (MATH_EACH, ConjugateCoords, DomainError, ModelParams, check_cells, check_index,
-                    check_m, field_coords, finite, log_grid, to_field_coords)
+from .model import (ConjugateCoords, DomainError, ModelParams, check_cells, check_index, check_m,
+                    field_coords, finite, log_grid, logs, to_field_coords)
 
 # Series/closed-form seam. At 0.02 the two branches of xi agree to ~1e-13
 # relative; at 1e-3 the closed form is already off by ~4e-10.
@@ -35,6 +35,12 @@ M_SWITCH = 0.02
 
 # Grid values this close to zero are treated as the exact m=0 limit.
 M_ZERO_SNAP = 1e-12
+
+# Series/closed-form seam of D / y^2 alone. The closed form cancels to
+# y^2 / 2 and keeps about 2 eps / y relative, 4e-14 at |m| = 0.1; the
+# series _d_series is summed to y^8 / 90, whose next term is 2e-20
+# relative there.
+D_SWITCH = 0.1
 
 
 def _bjz_excess(y):
@@ -46,8 +52,8 @@ def _beta_series(m, p: ModelParams):
     return (1.0 + _bjz_excess(m * m)) / p.jz
 
 
-def _beta_closed(m, p: ModelParams, lib=math):
-    return -lib.log1p(-m * m) / (p.jz * m * m)
+def _beta_closed(m, lg, p: ModelParams):
+    return -lg / (p.jz * m * m)
 
 
 def beta_of_m(m: float, p: ModelParams) -> float:
@@ -55,7 +61,7 @@ def beta_of_m(m: float, p: ModelParams) -> float:
     check_m(m)
     if abs(m) < M_SWITCH:
         return finite(_beta_series(m, p), "beta", m=m)
-    return finite(_beta_closed(m, p), "beta", m=m)
+    return finite(_beta_closed(m, logs(m)[0], p), "beta", m=m)
 
 
 def _xi_series(m):
@@ -65,8 +71,8 @@ def _xi_series(m):
     return m * y * (1.0 / 6.0 + y * (2.0 / 15.0 + y * (3.0 / 28.0 + y * (4.0 / 45.0 + y * (5.0 / 66.0)))))
 
 
-def _xi_closed(m, lib=math):
-    return -lib.atanh(m) - lib.log1p(-m * m) / m
+def _xi_closed(m, lg, at):
+    return -at - lg / m
 
 
 def xi_of_m(m: float, p: ModelParams) -> float:
@@ -74,14 +80,14 @@ def xi_of_m(m: float, p: ModelParams) -> float:
     check_m(m)
     if abs(m) < M_SWITCH:
         return _xi_series(m)
-    return _xi_closed(m)
+    return _xi_closed(m, *logs(m))
 
 
-def _beta_xi(m, p: ModelParams):
-    """beta and xi over a float64 array of |m| < 1; run under np.errstate."""
+def _beta_xi(m, lg, at, p: ModelParams):
+    """beta and xi over a float64 array of |m| < 1 and its logs; run under np.errstate."""
     small = np.abs(m) < M_SWITCH
-    return (np.where(small, _beta_series(m, p), _beta_closed(m, p, MATH_EACH)),
-            np.where(small, _xi_series(m), _xi_closed(m, MATH_EACH)))
+    return (np.where(small, _beta_series(m, p), _beta_closed(m, lg, p)),
+            np.where(small, _xi_series(m), _xi_closed(m, lg, at)))
 
 
 def _u(m, p: ModelParams):
@@ -94,8 +100,8 @@ def u_of_m(m: float, p: ModelParams) -> float:
     return _u(m, p)
 
 
-def _s_closed(m, p: ModelParams, lib=math):
-    return -p.k * (m * lib.atanh(m) + 0.5 * lib.log1p(-m * m))
+def _s_closed(m, lg, at, p: ModelParams):
+    return -p.k * (m * at + 0.5 * lg)
 
 
 def s_of_m(m: float, p: ModelParams) -> float:
@@ -107,7 +113,47 @@ def s_of_m(m: float, p: ModelParams) -> float:
     check_m(m)
     if m == 0.0:
         return 0.0
-    return _s_closed(m, p)
+    return _s_closed(m, *logs(m), p)
+
+
+def _d_series(y):
+    # D / y^2 = sum over j >= 2 of y^(j-2) / (j (j-1)); y^2 is never formed,
+    # so it cannot underflow
+    return 0.5 + y * (1.0 / 6.0 + y * (1.0 / 12.0 + y * (1.0 / 20.0 + y * (
+        1.0 / 30.0 + y * (1.0 / 42.0 + y * (1.0 / 56.0 + y * (1.0 / 72.0 + y / 90.0)))))))
+
+
+def _d_closed(y, lg):
+    return (y + (1.0 - y) * lg) / (y * y)
+
+
+def _denominator(m: float) -> float:
+    """D / y^2, where D = y + (1 - y) log(1 - y) and y = m^2."""
+    y = m * m
+    if abs(m) < D_SWITCH:
+        return _d_series(y)
+    return _d_closed(y, logs(m)[0])
+
+
+def _chi(beta, m, d):
+    # beta m^2 (1 - m^2) / D from d = D / m^4, dividing m^2 out one m at a
+    # time so no m^4 is formed
+    return beta * (1.0 - m * m) / d / m / m
+
+
+def _heat(bjz, m, d, p: ModelParams):
+    # k L^2 (1 - y) / (2 D) from L / y = beta Jz and d = D / y^2
+    return p.k * bjz * bjz * (1.0 - m * m) / (2.0 * d)
+
+
+def _response(m, lg, beta, p: ModelParams):
+    """chi and C over a float64 array of m, its lg and beta; run under np.errstate.
+
+    chi is inf at m = 0, where C takes its limit k.
+    """
+    y = m * m
+    d = np.where(np.abs(m) < D_SWITCH, _d_series(y), _d_closed(y, lg))
+    return _chi(beta, m, d), _heat(beta * p.jz, m, d, p)
 
 
 @dataclass(frozen=True)
@@ -156,9 +202,6 @@ class CurveTable(SimpleNamespace):
 
 def curve_point(m: float, p: ModelParams) -> CurveSample:
     """Evaluate every CurveSample field at one m."""
-    # local import, criticality also imports this module
-    from .criticality import _chi, _denominator, _heat
-
     check_m(m)
     if abs(m) < M_ZERO_SNAP:
         beta = 1.0 / p.jz
@@ -182,8 +225,6 @@ def sample_curve(m_min: float, m_max: float, n_samples: int,
     Rows are the curve_point values at each grid m, computed as columns;
     a grid m within M_ZERO_SNAP of 0 gives the exact m = 0 row.
     """
-    from .criticality import _response  # local import, as in curve_point
-
     if not (-1.0 < m_min < m_max < 1.0):
         raise DomainError(f"need -1 < m_min < m_max < 1, got [{m_min}, {m_max}]")
     n_samples = check_cells(check_index(n_samples, "sample count", 2))
@@ -198,13 +239,14 @@ def sample_curve(m_min: float, m_max: float, n_samples: int,
     with np.errstate(all="ignore"):
         zero = np.abs(grid) < M_ZERO_SNAP
         m = np.where(zero, 0.0, grid)
-        beta, xi = _beta_xi(m, p)
+        lg, at = logs(m)
+        beta, xi = _beta_xi(m, lg, at, p)
         t, h = field_coords(beta, xi, p)
-        chi, c = _response(m, beta, p)
+        chi, c = _response(m, lg, beta, p)
         # the m = 0 row carries curve_point's limits: chi NaN, C = k, u = s = +0.0
         chi[zero], c[zero] = np.nan, p.k
         table = CurveTable(m=m, beta=beta, xi=xi, t=t, h=h, u=np.where(zero, 0.0, _u(m, p)),
-                           s=np.where(zero, 0.0, _s_closed(m, p, MATH_EACH)), chi=chi, c=c)
+                           s=np.where(zero, 0.0, _s_closed(m, lg, at, p)), chi=chi, c=c)
         for name in _FIELDS:
             masked = zero if name == "chi" else False
             if not (np.isfinite(getattr(table, name)) | masked).all():

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,6 +47,13 @@ def check_index(value, name: str, least: int) -> int:
     return index
 
 
+def _named(value) -> str:
+    # str() raises ValueError past 4300 digits: name an int past the doubles by its power of ten
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"{'-' if value < 0 else ''}10**{math.log10(abs(value)):.1f}"
+    return str(value)
+
+
 def finite(x, what: str, **where):
     """x, unless it is not a finite double: then a DomainError naming what and the point where.
 
@@ -58,7 +64,7 @@ def finite(x, what: str, **where):
             return x
     except OverflowError:
         pass
-    at = ", ".join(f"{name} = {value}" for name, value in where.items())
+    at = ", ".join(f"{name} = {_named(value)}" for name, value in where.items())
     raise DomainError(f"{what} is not a finite double" + (f" at {at}" if at else ""))
 
 
@@ -66,13 +72,16 @@ def _each(f):
     return lambda x: np.fromiter(map(f, x.tolist()), float, x.size)
 
 
-# Every log, atanh and power that reaches a printed value comes from libm:
-# math on a float, MATH_EACH (math on each element) on a column. numpy picks
-# its vector kernels by CPU at run time, and they differ from libm by 1-3
-# ulps on many inputs, which the cancellation in xi near the m = 0.02 seam
-# magnifies ~1e4 times. Per element math costs ~0.1 us against numpy's
-# ~5 ns, small beside the ~0.5 us that formatting each output cell costs.
-MATH_EACH = SimpleNamespace(log1p=_each(math.log1p), atanh=_each(math.atanh))
+def logs(x):
+    """(log1p(-x^2), atanh(x)) from libm for |x| < 1: math on a float or on each element.
+
+    numpy picks its vector kernels by CPU at run time; they differ from libm by 1-3 ulps on
+    many inputs, which the cancellation in xi near the m = 0.02 seam magnifies ~1e4 times.
+    Per element math costs ~0.1 us, small beside the ~0.5 us of formatting an output cell.
+    """
+    if isinstance(x, np.ndarray):
+        return _each(math.log1p)(-x * x), _each(math.atanh)(x)
+    return math.log1p(-x * x), math.atanh(x)
 
 
 def log_grid(lo: float, hi: float, n: int):

@@ -9,7 +9,9 @@ gradient gives the conjugate momenta (k beta, k xi), and
 
     (2U/(kM)) dS/dU + (1/k) dS/dM - atanh(x)
 
-vanishes identically for every a.
+vanishes identically for every a. The formulas work on floats or arrays
+and take lg = log1p(-x^2) and at = atanh(x) from model.logs; the scalar
+entry points check the domain, and the columns hold only states inside it.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import MATH_EACH, DomainError, ModelParams, check_cells, check_index, finite
+from .model import DomainError, ModelParams, check_cells, check_index, finite, logs
 
 # Strict interior guard for the atanh argument.
 EPS_DOM = 1e-12
@@ -53,16 +55,6 @@ def in_domain(u: float, m: float, p: ModelParams) -> bool:
     return True
 
 
-# The formulas below take lg = log1p(-x^2) and at = atanh(x) of
-# x = 2U/(Jz M) and work on floats or arrays. _logs takes them from math on
-# a float and from MATH_EACH on a column, so a column equals the scalar
-# values bit for bit; the scalar entry points check the domain, and the
-# column callers evaluate only states inside it, where math.atanh is defined.
-
-def _logs(x, lib=math):
-    return lib.log1p(-x * x), lib.atanh(x)
-
-
 def _entropy(u, m, lg, at, p: ModelParams, a):
     return p.k * m * at + p.k * p.jz * m * m / (4.0 * u) * lg + a * m * m / u
 
@@ -79,16 +71,16 @@ def _hj(u, m, at, ds_du, ds_dm, p: ModelParams):
 
 def entropy(u: float, m: float, p: ModelParams, a: float = 0.0) -> float:
     """Entropy at state (U, M) on the branch labeled by a."""
-    lg, at = _logs(_x_of(u, m, p))
+    lg, at = logs(_x_of(u, m, p))
     # extreme (U, M, k, Jz) overflow the products, or meet inf * 0
-    return finite(_entropy(u, m, lg, at, p, a), "entropy", U=u, M=m)
+    return finite(_entropy(u, m, lg, at, p, finite(a, "a")), "entropy", U=u, M=m)
 
 
 def gradient(u: float, m: float, p: ModelParams, a: float = 0.0):
     """Analytic (dS/dU, dS/dM); equals (k beta, k xi) on the solution curve."""
-    lg, at = _logs(_x_of(u, m, p))
+    lg, at = logs(_x_of(u, m, p))
     try:
-        ds_du, ds_dm = _gradient(u, m, lg, at, p, a)
+        ds_du, ds_dm = _gradient(u, m, lg, at, p, finite(a, "a"))
     except ZeroDivisionError:  # U^2 underflows to 0
         ds_du = ds_dm = math.inf
     return finite(ds_du, "dS/dU", U=u, M=m), finite(ds_dm, "dS/dM", U=u, M=m)
@@ -96,10 +88,10 @@ def gradient(u: float, m: float, p: ModelParams, a: float = 0.0):
 
 def hj_residual(u: float, m: float, p: ModelParams, a: float = 0.0) -> float:
     """Residual of the Hamilton-Jacobi equation at (U, M); zero to round-off."""
-    lg, at = _logs(_x_of(u, m, p))
+    lg, at = logs(_x_of(u, m, p))
     try:
         # a non-finite derivative leaves the residual non-finite
-        r = _hj(u, m, at, *_gradient(u, m, lg, at, p, a), p)
+        r = _hj(u, m, at, *_gradient(u, m, lg, at, p, finite(a, "a")), p)
     except ZeroDivisionError:  # U^2 or k M underflows to 0
         r = math.inf
     return finite(r, "HJ residual", U=u, M=m)
@@ -116,7 +108,7 @@ def state_columns(u, m, p: ModelParams, a=0.0):
         x = _x(u, m, p)
         if not (np.abs(x) < 1.0 - EPS_DOM).all():
             raise DomainError("a state lies outside the entropy domain |2U/(JzM)| < 1")
-        lg, at = _logs(x, MATH_EACH)
+        lg, at = logs(x)
         ds_du, ds_dm = _gradient(u, m, lg, at, p, a)
         cols = (_entropy(u, m, lg, at, p, a), ds_du, ds_dm, _hj(u, m, at, ds_du, ds_dm, p))
     if not all(np.isfinite(c).all() for c in cols):
@@ -162,9 +154,10 @@ def surface_grid(u_range, m_range, nu: int, nm: int,
     masked, not dropped.
     """
     nu, nm = check_index(nu, "U grid points", 2), check_index(nm, "M grid points", 2)
+    finite(a, "a")
     # a finite span needs finite ends and keeps every grid point finite
     for name, (lo, hi) in (("U", u_range), ("M", m_range)):
-        finite(hi - lo, f"{name} span", U=u_range, M=m_range)
+        finite(hi - lo, f"{name} span", lo=lo, hi=hi)
     check_cells(nu * nm)
     with np.errstate(all="ignore"):
         u = np.repeat(np.linspace(u_range[0], u_range[1], nu), nm)
@@ -172,7 +165,7 @@ def surface_grid(u_range, m_range, nu: int, nm: int,
         x = _x(u, m, p)
         inside = (p.jz * m != 0.0) & (u != 0.0) & (np.abs(x) < 1.0 - EPS_DOM)
         s = np.full(u.size, np.nan)
-        s[inside] = _entropy(u[inside], m[inside], *_logs(x[inside], MATH_EACH), p, a)
+        s[inside] = _entropy(u[inside], m[inside], *logs(x[inside]), p, a)
     valid = np.isfinite(s)
     s[~valid] = np.nan
     return SurfaceGrid(u=u, m=m, s=s, valid=valid)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import criticality, idealgas, oracle, surface
 from .curve import beta_of_m, xi_of_m
-from .model import MATH_EACH, ConjugateCoords, ModelParams, check_index, log_grid
+from .model import ConjugateCoords, ModelParams, check_index, log_grid, logs
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ def check_hj_residual(p: ModelParams, us: np.ndarray, ms: np.ndarray) -> CheckRe
     branches = (0.0, 1.0, -3.0)
     u, m = np.tile(us, len(branches)), np.tile(ms, len(branches))
     *_, res = surface.state_columns(u, m, p, np.repeat(branches, count))
-    rhs = MATH_EACH.atanh(2.0 * u / (p.jz * m))
-    worst = float(np.max(np.abs(res) / (1.0 + np.abs(rhs))))
+    _, rhs = logs(2.0 * us / (p.jz * ms))  # once per state, not per branch
+    worst = float(np.max(np.abs(res) / (1.0 + np.abs(np.tile(rhs, len(branches))))))
     return CheckResult("hj-residual", worst < 1e-10,
                        f"max scaled residual {worst:.3e} over {count} states, a in (0, 1, -3)")
 

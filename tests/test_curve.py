@@ -10,7 +10,7 @@ from isingcusp import (ConjugateCoords, DomainError, M_SWITCH, ModelParams,
                        beta_of_m, curve_point, s_of_m,
                        sample_curve, to_field_coords, u_of_m, xi_of_m)
 from isingcusp.curve import _beta_closed, _beta_series, _xi_closed, _xi_series
-from isingcusp.model import log_grid
+from isingcusp.model import log_grid, logs
 
 P = ModelParams()
 
@@ -29,7 +29,7 @@ def test_beta_examples():
 
 def test_beta_series_vs_closed_at_half():
     # five-term series still lands within 4 digits this far out
-    assert abs(_beta_series(0.5, P) - _beta_closed(0.5, P)) < 5e-4
+    assert abs(_beta_series(0.5, P) - _beta_closed(0.5, logs(0.5)[0], P)) < 5e-4
 
 
 def test_beta_scales_with_jz():
@@ -88,8 +88,9 @@ def test_non_finite_parameters_are_rejected():
 def test_series_seam_agreement():
     # both branches must agree where the evaluation switches over
     for m in (M_SWITCH, -M_SWITCH):
-        assert abs(_beta_series(m, P) - _beta_closed(m, P)) < 1e-10 * _beta_closed(m, P)
-        assert abs(_xi_series(m) - _xi_closed(m)) < 1e-10 * abs(_xi_closed(m))
+        lg, at = logs(m)
+        assert abs(_beta_series(m, P) - _beta_closed(m, lg, P)) < 1e-10 * _beta_closed(m, lg, P)
+        assert abs(_xi_series(m) - _xi_closed(m, lg, at)) < 1e-10 * abs(_xi_closed(m, lg, at))
 
 
 def test_self_consistency_identity_fixed_points():

@@ -184,6 +184,8 @@ def test_table_count_is_an_integer(f, args):
     (GasState, "u"), (GasState, "v"), (GasState, "r"), (GasState, "s0"),
     *((fn, arg) for fn in (isingcusp.entropy, isingcusp.gradient, isingcusp.hj_residual,
                           isingcusp.in_domain) for arg in ("u", "m")),
+    *((fn, "a") for fn in (isingcusp.entropy, isingcusp.gradient, isingcusp.hj_residual,
+                          isingcusp.surface_grid)),
     (isingcusp.zero_field_branch, "beta_max")])
 def test_int_beyond_the_double_range_is_a_domain_error(f, field):
     # 10**400 has no double: OverflowError escaped from arithmetic, or the
@@ -191,12 +193,25 @@ def test_int_beyond_the_double_range_is_a_domain_error(f, field):
     state = {"u": -0.125, "m": 1.0, "p": ModelParams()}
     given = {ModelParams: {}, ConjugateCoords: {"beta": 1.0}, GasState: {"u": 1.0, "v": 1.0},
              isingcusp.entropy: state, isingcusp.gradient: state, isingcusp.hj_residual: state,
-             isingcusp.in_domain: state, isingcusp.zero_field_branch: {"beta_min": 0.5, "n": 3}}
+             isingcusp.in_domain: state, isingcusp.zero_field_branch: {"beta_min": 0.5, "n": 3},
+             isingcusp.surface_grid: {"u_range": (-1, 1), "m_range": (-2, 2), "nu": 3, "nm": 3}}
     kwargs = {**given[f], field: 10 ** 400}
     if f is isingcusp.in_domain:
         assert f(**kwargs) is False
         return
     with pytest.raises(DomainError, match="not a finite double"):
+        f(**kwargs)
+
+
+@pytest.mark.parametrize("f, kwargs", [
+    (ModelParams, {"jz": 10 ** 5000}), (ConjugateCoords, {"beta": -10 ** 5000}),
+    (GasState, {"u": 10 ** 5000, "v": 1.0}),
+    (isingcusp.surface_grid, {"u_range": (0, 10 ** 5000), "m_range": (-2, 2), "nu": 3, "nm": 3})],
+    ids=["ModelParams-jz", "ConjugateCoords-beta", "GasState-u", "surface_grid-u_range"])
+def test_int_past_the_decimal_digit_limit_is_named_by_its_power_of_ten(f, kwargs):
+    # str() of an int over 4300 digits raises ValueError, which escaped in
+    # place of the DomainError
+    with pytest.raises(DomainError, match=r"not a finite double at .*10\*\*5000\.0"):
         f(**kwargs)
 
 

@@ -15,6 +15,24 @@ def test_no_assert_statements(path):
     assert not lines, f"assert statements in {path.name} at lines {lines}"
 
 
+def _imports_package(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "isingcusp"
+    return isinstance(node, ast.Import) and any(a.name.split(".")[0] == "isingcusp"
+                                                for a in node.names)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_imports_a_package_module(path):
+    # an import inside a function hides an import cycle between package
+    # modules; each module imports the others at its top
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    lines = sorted({node.lineno for func in functions for node in ast.walk(func)
+                    if _imports_package(node)})
+    assert not lines, f"package imports inside functions of {path.name} at lines {lines}"
+
+
 def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
     (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
     return node
@@ -69,7 +87,7 @@ NUMPY_TRANSCENDENTALS = {"log", "log10", "log1p", "exp", "expm1", "arctanh", "ta
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_printed_transcendentals_come_from_libm(path):
     # every value that reaches stdout takes its logs, atanhs and powers from
-    # math (model.MATH_EACH and model.log_grid on columns); only the oracle's
+    # math (model.logs on floats and columns, model.log_grid); only the oracle's
     # sums keep numpy's vector exp and log, since 2^20 libm calls per
     # enumeration would multiply verify's time
     if path.name == "oracle.py":
